@@ -129,13 +129,9 @@ def ksplice_create(tree: SourceTree, patch: Union[Patch, str],
             post_objects[unit] = post_obj
             if report is not None:
                 report.unit_diffs[unit] = diff
-            if diff.changes_persistent_data and not diff.has_hooks \
-                    and not allow_data_changes:
-                raise DataSemanticsError(
-                    "unit %s: patch changes persistent data (%s); supply "
-                    "ksplice hook code to transform existing state"
-                    % (unit,
-                       ", ".join(diff.changed_data + diff.removed_data)))
+            refusal = data_semantics_refusal(unit, diff)
+            if refusal and not allow_data_changes:
+                raise DataSemanticsError(refusal)
             if not (diff.has_code_changes or diff.has_hooks
                     or diff.changes_persistent_data):
                 continue  # extraneous-only differences: nothing to ship
@@ -168,6 +164,23 @@ def ksplice_create(tree: SourceTree, patch: Union[Patch, str],
         if report is not None:
             report.analysis = analysis
     return pack
+
+
+def data_semantics_refusal(unit: str, diff: UnitDiff) -> str:
+    """Why shipping ``diff`` would leave running state stale, or "".
+
+    A patch that changes the initialization image of persistent data
+    only changes what a *fresh boot* would see; the running kernel
+    keeps its old values unless the update carries hook code to
+    transform them.  ``ksplice_create`` raises this text as a
+    :class:`DataSemanticsError` unless ``allow_data_changes`` is set,
+    and memoised packs record it so a later shipper refuses alike.
+    """
+    if diff.changes_persistent_data and not diff.has_hooks:
+        return ("unit %s: patch changes persistent data (%s); supply "
+                "ksplice hook code to transform existing state"
+                % (unit, ", ".join(diff.changed_data + diff.removed_data)))
+    return ""
 
 
 def _stable_patch_key(parsed: Patch) -> str:

@@ -237,6 +237,10 @@ class WaveReport:
     member_reports: List[MemberReport] = field(default_factory=list)
     #: members of *this* wave whose update was undone after a red
     rolled_back: List[int] = field(default_factory=list)
+    #: ``{"member": index, "reason": text}`` for each live member
+    #: *outside* this wave that the health gate found unhealthy — what
+    #: turned the wave red when none of its own members failed
+    bystanders: List[Dict[str, Any]] = field(default_factory=list)
 
     def report_for(self, member: int) -> Optional[MemberReport]:
         for report in self.member_reports:
@@ -254,6 +258,7 @@ class WaveReport:
                 for r in sorted(self.member_reports,
                                 key=lambda r: r.member)],
             "rolled_back": sorted(self.rolled_back),
+            "bystanders": [dict(b) for b in self.bystanders],
         }
 
 
@@ -321,7 +326,11 @@ class RolloutReport:
                               members=list(wave_data.get("members", [])),
                               verdict=wave_data.get("verdict", GREEN),
                               rolled_back=list(
-                                  wave_data.get("rolled_back", [])))
+                                  wave_data.get("rolled_back", [])),
+                              bystanders=[
+                                  {"member": int(b["member"]),
+                                   "reason": str(b.get("reason", ""))}
+                                  for b in wave_data.get("bystanders", [])])
             for member_data in wave_data.get("member_reports", []):
                 wave.member_reports.append(MemberReport(
                     member=int(member_data["member"]),
@@ -359,6 +368,9 @@ class RolloutReport:
                     suffix = "  (%s)" % member.detail
                 lines.append("    member %-3d %s%s"
                              % (member.member, member.outcome, suffix))
+            for bystander in wave.bystanders:
+                lines.append("    member %-3d bystander (%s)"
+                             % (bystander["member"], bystander["reason"]))
         lines.append("  updated: %s"
                      % (", ".join(str(m) for m
                                   in sorted(self.updated_members))

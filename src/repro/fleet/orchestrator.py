@@ -327,7 +327,8 @@ class RolloutOrchestrator:
 
     def _health_gate(self, wave: WaveReport) -> bool:
         """Probe every live member; update this wave's member reports
-        with what the gate saw.  True = all green."""
+        with what the gate saw, and name any unhealthy member outside
+        the wave as a bystander.  True = all green."""
         all_healthy = True
         for member in self.fleet.alive_members():
             health = check_machine(member.machine, self.policy,
@@ -338,11 +339,14 @@ class RolloutOrchestrator:
             if health.healthy:
                 continue
             all_healthy = False
-            if member_report is not None:
-                member_report.outcome = (
-                    MEMBER_OOPS if member.machine.oopses
-                    else MEMBER_PROBE_FAILED)
-                member_report.detail = health.reason_text()
+            if member_report is None:
+                wave.bystanders.append({"member": member.index,
+                                        "reason": health.reason_text()})
+                continue
+            member_report.outcome = (
+                MEMBER_OOPS if member.machine.oopses
+                else MEMBER_PROBE_FAILED)
+            member_report.detail = health.reason_text()
         return all_healthy
 
     def _rollback_wave(self, wave: WaveReport,
@@ -401,33 +405,19 @@ def replay_rollback(report: RolloutReport,
     check, reversal order) is the real §5.4 machinery.  The report is
     updated in place (``rolled-back`` outcome) and returned.
     """
-    from repro.core.create import CreateReport, ksplice_create
-    from repro.evaluation.corpus import corpus_by_id
-    from repro.evaluation.engine import run_build_for
     from repro.evaluation.kernels import kernel_for_version
     from repro.fleet.model import OUTCOME_ROLLED_BACK
 
     if not report.updated_members:
         report.outcome = OUTCOME_ROLLED_BACK
         return report
-    try:
-        spec = corpus_by_id(report.cve_id)
-    except KeyError:
-        raise RolloutError("unknown CVE id %r in saved rollout"
-                           % report.cve_id)
     trace = trace if trace is not None else Trace(
         label="rollback-%s" % report.rollout_id)
-    kernel = kernel_for_version(spec.kernel_version)
-    build = run_build_for(kernel)
-    with trace.stage("create"):
-        patch = kernel.patch_for(spec.cve_id,
-                                 augmented=spec.table1 is not None)
-        pack = ksplice_create(kernel.tree, patch,
-                              description=spec.description,
-                              report=CreateReport(),
-                              run_build=build, trace=trace)
+    spec, pack, _analysis = _corpus_update(
+        report.cve_id, trace, "unknown CVE id %r in saved rollout")
     with trace.stage("boot-fleet") as rep:
-        fleet = Fleet.boot(kernel, report.plan.fleet_size,
+        fleet = Fleet.boot(kernel_for_version(spec.kernel_version),
+                           report.plan.fleet_size,
                            workload=report.plan.workload)
         rep.counters["members"] = report.plan.fleet_size
     with trace.stage("replay") as rep:
@@ -461,37 +451,45 @@ def rollout_corpus_cve(plan: RolloutPlan,
     This is what ``repro fleet rollout --cve ...``, the
     ``fleet-rollout`` worker item, and a control-plane publish all
     run; ``on_wave`` (if given) receives each :class:`WaveReport` the
-    moment its verdict lands.
+    moment its verdict lands.  The pack comes from the create memo
+    (:func:`repro.evaluation.analyze.create_corpus_cve`), so after a
+    publish gate analysed the update the fleet applies that same pack.
     """
-    from repro.core.create import CreateReport, ksplice_create
-    from repro.evaluation.corpus import corpus_by_id
-    from repro.evaluation.engine import run_build_for
     from repro.evaluation.kernels import kernel_for_version
 
-    try:
-        spec = corpus_by_id(plan.cve_id)
-    except KeyError:
-        raise RolloutError("unknown CVE id %r" % plan.cve_id)
     trace = trace if trace is not None else Trace(
         label=plan.rollout_id())
-    kernel = kernel_for_version(spec.kernel_version)
-    build = run_build_for(kernel)
-    create_report = CreateReport()
-    with trace.stage("create"):
-        patch = kernel.patch_for(spec.cve_id,
-                                 augmented=spec.table1 is not None)
-        pack = ksplice_create(kernel.tree, patch,
-                              description=spec.description,
-                              report=create_report,
-                              run_build=build, trace=trace)
+    spec, pack, analysis = _corpus_update(plan.cve_id, trace,
+                                          "unknown CVE id %r")
     policy = None
     if plan.probe and spec.probe is not None:
         policy = HealthPolicy.from_probe(spec.probe)
     with trace.stage("boot-fleet") as rep:
-        fleet = Fleet.boot(kernel, plan.fleet_size,
-                           workload=plan.workload)
+        fleet = Fleet.boot(kernel_for_version(spec.kernel_version),
+                           plan.fleet_size, workload=plan.workload)
         rep.counters["members"] = plan.fleet_size
     orchestrator = RolloutOrchestrator(
         fleet, plan, policy=policy, trace=trace,
         kernel_version=spec.kernel_version, on_wave=on_wave)
-    return orchestrator.run(pack, analysis=create_report.analysis)
+    return orchestrator.run(pack, analysis=analysis)
+
+
+def _corpus_update(cve_id: str, trace: Trace, unknown: str):
+    """A corpus CVE's spec, shippable pack and analyzer report.
+
+    The ``create`` stage records whether the create memo already held
+    the update; either way the data-semantics refusal is re-checked,
+    so a memo hit refuses exactly what a fresh ``ksplice_create``
+    would.
+    """
+    from repro.evaluation.analyze import create_corpus_cve
+    from repro.evaluation.corpus import corpus_by_id
+
+    try:
+        spec = corpus_by_id(cve_id)
+    except KeyError:
+        raise RolloutError(unknown % cve_id)
+    with trace.stage("create"):
+        created = create_corpus_cve(spec, trace=trace)
+        pack = created.shippable_pack()
+    return spec, pack, created.analysis

@@ -154,9 +154,8 @@ class Stage:
         self._start = 0.0
 
     def __enter__(self) -> StageReport:
+        self.trace.current.children.append(self.report)
         stack = self.trace._stack
-        parent = stack[-1] if stack else self.trace.root
-        parent.children.append(self.report)
         stack.append(self.report)
         self._path = "/".join(r.name for r in stack)
         self._start = time.perf_counter()

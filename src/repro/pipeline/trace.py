@@ -43,11 +43,15 @@ class Trace:
     def skip(self, name: str, reason: str = "") -> StageReport:
         """Record a stage that deliberately did not run."""
         report = StageReport(name=name, outcome=SKIPPED, error=reason)
-        parent = self._stack[-1] if self._stack else self.root
-        parent.children.append(report)
+        self.current.children.append(report)
         return report
 
     # -- reading ------------------------------------------------------------
+
+    @property
+    def current(self) -> StageReport:
+        """The innermost open stage's report (the root when none is)."""
+        return self._stack[-1] if self._stack else self.root
 
     @property
     def reports(self) -> List[StageReport]:

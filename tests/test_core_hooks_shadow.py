@@ -120,6 +120,35 @@ __ksplice_apply__(ksplice_fix_limits);
         assert machine.call_function("sys_get_limit", [idx, 0, 0]) == 10
 
 
+def test_stop_machine_counts_hook_code_apart_from_stopped_threads():
+    """CVE-2005-3179 ships a ``.ksplice_apply`` hook: its instructions
+    run inside the stopped window and are counted as hook work, while
+    the threads that existed at the stop still run nothing."""
+    from repro.evaluation.analyze import create_corpus_cve
+    from repro.evaluation.corpus import corpus_by_id
+    from repro.evaluation.kernels import kernel_for_version
+    from repro.fleet import Fleet
+
+    spec = corpus_by_id("CVE-2005-3179")
+    member = Fleet.boot(kernel_for_version(spec.kernel_version),
+                        1).members[0]
+    member.machine.run(500)  # the keepalive spinner has a live stack
+    pack = create_corpus_cve(spec).shippable_pack()
+    assert pack.has_hooks()
+    report = member.core.apply(pack).stop_report
+    assert report.instructions_during_stop == 0
+    assert report.hook_instructions > 0
+
+
+def test_hook_free_update_runs_no_hook_instructions():
+    machine, core = fresh()
+    pack = make_update(LIMITS_C.replace("return limit_table[idx];",
+                                        "return limit_table[idx] + 1;"))
+    report = core.apply(pack).stop_report
+    assert report.instructions_during_stop == 0
+    assert report.hook_instructions == 0
+
+
 def test_reverse_hook_runs_on_undo():
     machine, core = fresh()
     new_source = LIMITS_C.replace(

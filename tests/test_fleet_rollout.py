@@ -182,6 +182,36 @@ def test_kill_in_wave_is_lost_and_never_undone():
     assert 1 not in report.rolled_back_members
 
 
+def test_red_health_gate_names_the_bystander_that_caused_it():
+    """CVE-2005-3847's probe is stateful: every health gate re-probes
+    the still-unpatched member 3, whose value then drifts.  Wave 1's
+    own members are fine, so the red is attributed to member 3 as a
+    bystander, with the probe's reason."""
+    report = rollout_corpus_cve(RolloutPlan("CVE-2005-3847", fleet_size=4))
+    assert report.outcome == OUTCOME_HALTED
+    assert [w.verdict for w in report.waves] == [GREEN, RED]
+    red = report.red_wave()
+    assert all(r.outcome == MEMBER_UPDATED for r in red.member_reports)
+    assert [b["member"] for b in red.bystanders] == [3]
+    reason = red.bystanders[0]["reason"]
+    assert "probe sys_futq_tick returned" in reason
+    assert "unpatched member" in reason
+    assert report.waves[0].bystanders == []
+    assert "member 3   bystander (%s)" % reason in report.render()
+    clone = RolloutReport.from_json_dict(json.loads(report.to_json()))
+    assert clone.red_wave().bystanders == red.bystanders
+    assert clone.to_json() == report.to_json()
+
+
+def test_wave_json_without_bystanders_defaults_empty():
+    data = json.loads(rollout_corpus_cve(
+        RolloutPlan(cve_id=CVE, fleet_size=1)).to_json())
+    for wave in data["waves"]:
+        del wave["bystanders"]
+    clone = RolloutReport.from_json_dict(data)
+    assert all(w.bystanders == [] for w in clone.waves)
+
+
 def test_reject_verdict_gates_the_rollout():
     from repro.evaluation.kernels import kernel_for_version
 
