@@ -37,18 +37,10 @@ def _normalize(instr: DecodedInstruction,
     entirely (layout moves them even when the control flow is
     unchanged — the CFG shape is compared via the mnemonic stream).
     """
-    spec = instr.instruction.spec
     operands: List[str] = []
-    field_offset = 1
-    operand_iter = iter(instr.instruction.operands)
-    sizes = {OperandKind.REG: 1, OperandKind.IMM32: 4,
-             OperandKind.ABS32: 4, OperandKind.REL32: 4,
-             OperandKind.REL8: 1, OperandKind.PAD: 1}
-    for kind in spec.operands:
-        if kind is OperandKind.PAD:
-            field_offset += 1
-            continue
-        value = next(operand_iter)
+    for (kind, field_offset), value in zip(
+            instr.instruction.spec.operand_fields,
+            instr.instruction.operands):
         symbol = reloc_symbols.get(instr.offset + field_offset)
         if symbol is not None:
             operands.append("@" + symbol)
@@ -58,7 +50,6 @@ def _normalize(instr: DecodedInstruction,
             operands.append("r%d" % value)
         else:
             operands.append("%d" % value)
-        field_offset += sizes[kind]
     return (instr.canonical, tuple(operands))
 
 

@@ -44,12 +44,7 @@ from repro.analysis.absint.domain import (
     stackaddr,
 )
 from repro.arch.disassembler import DecodedInstruction, iter_instructions
-from repro.arch.isa import (
-    REG_FP,
-    REG_SP,
-    InstructionSpec,
-    OperandKind,
-)
+from repro.arch.isa import REG_FP, REG_SP, OperandKind
 from repro.errors import DisassemblyError
 from repro.objfile import Section
 
@@ -147,28 +142,12 @@ class FunctionSummary:
         return {a.symbol for a in self.accesses}
 
 
-def _operand_field_offsets(
-        spec: InstructionSpec) -> Dict[int, OperandKind]:
-    """Byte offset (from instruction start) of each non-PAD operand."""
-    sizes = {OperandKind.REG: 1, OperandKind.IMM32: 4,
-             OperandKind.ABS32: 4, OperandKind.REL32: 4,
-             OperandKind.REL8: 1, OperandKind.PAD: 1}
-    fields: Dict[int, OperandKind] = {}
-    offset = 1
-    for kind in spec.operands:
-        if kind is not OperandKind.PAD:
-            fields[offset] = kind
-        offset += sizes[kind]
-    return fields
-
-
 def _reloc_symbol_for(instr: DecodedInstruction,
                       relocations: Dict[int, Tuple[str, int]],
                       wanted: OperandKind) -> Optional[Tuple[str, int]]:
     """``(symbol, addend)`` of the relocation on ``instr``'s ``wanted``
     operand field, if any."""
-    for field_offset, kind in _operand_field_offsets(
-            instr.instruction.spec).items():
+    for kind, field_offset in instr.instruction.spec.operand_fields:
         if kind is wanted:
             entry = relocations.get(instr.offset + field_offset)
             if entry is not None:

@@ -17,11 +17,17 @@ addend, mirroring x86.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.arch import isa
-from repro.arch.isa import Instruction, OperandKind, PC32_ADDEND
+from repro.arch.isa import (
+    Instruction,
+    InstructionSpec,
+    OperandKind,
+    PC32_ADDEND,
+)
 from repro.arch.nops import nop_sequence
 from repro.errors import AssemblyError
 
@@ -105,6 +111,81 @@ _SHORT_FOR_LONG = {
 _LONG_LEN = 5
 _SHORT_LEN = 2
 
+# What each item is, decided once per stream: the layout and emit passes
+# dispatch on these instead of re-inspecting the items.
+_LABEL = 0    # argument: label name
+_ALIGN = 1    # argument: boundary
+_DATA = 2     # argument: payload length
+_PLAIN = 3    # argument: InstructionSpec (a non-branch instruction)
+_BRANCH = 4   # argument: target label or symbol name
+
+#: One non-branch instruction's bytes, and the ``(field offset, SymRef)``
+#: of each symbolic operand, which the caller turns into a relocation.
+_Encoding = Tuple[bytes, Tuple[Tuple[int, SymRef], ...]]
+
+#: Non-branch encodings keyed by ``(mnemonic, operands)``: an ``Insn``'s
+#: equality, hashed as a plain tuple.  An encoding is a pure function of
+#: the frozen ``Insn``: a ``SymRef`` field encodes as zero at a fixed
+#: offset within the instruction, and nothing depends on where the
+#: instruction lands.  Branches do depend on the layout and are never
+#: stored.  Process-global and bounded by LRU eviction, like the decode
+#: memo (``disassembler._DECODE_MEMO``).  Only successful encodes are
+#: stored: a bad instruction misses every time and raises the same
+#: error.  Control-plane threads compile beside the publish gate: a hit
+#: tolerates another thread evicting its entry in between, and
+#: concurrent inserts can overshoot the cap by one entry per thread
+#: until the next insert trims it.
+_ENCODE_MEMO: "OrderedDict[Tuple[str, Tuple[object, ...]], _Encoding]" = \
+    OrderedDict()
+_ENCODE_MEMO_MAX = 1 << 14
+
+
+def _encode_plain(item: Insn, spec: InstructionSpec) -> _Encoding:
+    """Encode a non-branch instruction."""
+    fields = spec.operand_fields
+    if len(item.operands) != len(fields):
+        raise AssemblyError(
+            "%s takes %d operands, got %d"
+            % (item.mnemonic, len(fields), len(item.operands)))
+    values: List[int] = []
+    pending: List[Tuple[int, SymRef]] = []
+    for (kind, field_offset), operand in zip(fields, item.operands):
+        if isinstance(operand, SymRef):
+            if kind not in (OperandKind.ABS32, OperandKind.IMM32):
+                raise AssemblyError(
+                    "symbolic operand not allowed for %s field of %s"
+                    % (kind.value, item.mnemonic))
+            pending.append((field_offset, operand))
+            values.append(0)
+        elif isinstance(operand, LabelRef):
+            raise AssemblyError(
+                "label reference in non-branch operand of %s"
+                % item.mnemonic)
+        else:
+            values.append(int(operand))
+    encoded = isa.encode_instruction(Instruction(spec=spec,
+                                                 operands=tuple(values)))
+    return encoded, tuple(pending)
+
+
+def _encode_plain_memoised(item: Insn, spec: InstructionSpec) -> _Encoding:
+    key = (item.mnemonic, item.operands)
+    cached = _ENCODE_MEMO.get(key)
+    if cached is not None:
+        try:
+            _ENCODE_MEMO.move_to_end(key)
+        except KeyError:
+            pass
+        return cached
+    encoded = _encode_plain(item, spec)
+    while len(_ENCODE_MEMO) >= _ENCODE_MEMO_MAX:
+        try:
+            _ENCODE_MEMO.popitem(last=False)
+        except KeyError:
+            break
+    _ENCODE_MEMO[key] = encoded
+    return encoded
+
 
 class Assembler:
     """Assembles one item stream into :class:`AssembledCode`."""
@@ -114,190 +195,139 @@ class Assembler:
         self._allow_short = allow_short_branches
 
     def assemble(self) -> AssembledCode:
-        defined = {
-            item.name for item in self._items if isinstance(item, Label)
-        }
-        # Branch index -> currently long?  Grow-only relaxation state.
-        long_branches: Dict[int, bool] = {}
-        for idx, item in enumerate(self._items):
-            if self._is_relaxable_branch(item, defined):
-                long_branches[idx] = not self._allow_short
-            elif isinstance(item, Insn) and self._branch_target(item) is not None:
-                long_branches[idx] = True  # undefined target: always long
-
+        classes, long_branches = self._classify()
         while True:
-            offsets, sizes = self._layout(long_branches)
+            labels, starts = self._layout(classes, long_branches)
             grew = False
             for idx, is_long in long_branches.items():
                 if is_long:
                     continue
-                item = self._items[idx]
-                target = self._branch_target(item)
-                assert target is not None
-                disp = offsets[target] - (self._item_offset(idx, sizes) + _SHORT_LEN)
+                disp = labels[classes[idx][1]] - (starts[idx] + _SHORT_LEN)
                 if not -128 <= disp < 128:
                     long_branches[idx] = True
                     grew = True
             if not grew:
                 break
-
-        return self._emit(long_branches, offsets, sizes)
+        return self._emit(classes, long_branches, labels, starts)
 
     # -- helpers ---------------------------------------------------------
 
-    def _branch_target(self, item: Item) -> Optional[str]:
-        if not isinstance(item, Insn):
-            return None
-        spec = isa.SPEC_BY_MNEMONIC.get(item.mnemonic)
-        if spec is None:
-            raise AssemblyError("unknown mnemonic %r" % item.mnemonic)
-        if not spec.is_pc_relative:
-            return None
-        if item.operands and isinstance(item.operands[0], LabelRef):
-            return item.operands[0].name
-        return None
-
-    def _is_relaxable_branch(self, item: Item, defined: set) -> bool:
-        target = self._branch_target(item)
-        if target is None or target not in defined:
-            return False
-        # Calls have no short form.
-        return isinstance(item, Insn) and item.mnemonic in _SHORT_FOR_LONG
-
-    def _item_size(self, idx: int, long_branches: Dict[int, bool],
-                   at_offset: int) -> int:
-        item = self._items[idx]
-        if isinstance(item, Label):
-            return 0
-        if isinstance(item, Align):
-            if item.boundary <= 0 or item.boundary & (item.boundary - 1):
-                raise AssemblyError("alignment must be a power of two")
-            return (-at_offset) % item.boundary
-        if isinstance(item, Data):
-            return len(item.payload)
-        assert isinstance(item, Insn)
-        if idx in long_branches:
-            return _LONG_LEN if long_branches[idx] else _SHORT_LEN
-        spec = isa.SPEC_BY_MNEMONIC[item.mnemonic]
-        return spec.length
-
-    def _layout(self, long_branches: Dict[int, bool]):
-        """Compute label offsets and per-item sizes for the current state."""
-        offsets: Dict[str, int] = {}
-        sizes: List[int] = []
-        pos = 0
+    def _classify(self) -> Tuple[List[Tuple[int, Any]], Dict[int, bool]]:
+        """Each item's class and argument, and the grow-only relaxation
+        state: branch index -> currently long?"""
+        defined = {
+            item.name for item in self._items if isinstance(item, Label)
+        }
+        classes: List[Tuple[int, Any]] = []
+        long_branches: Dict[int, bool] = {}
+        boundaries: List[int] = []
         for idx, item in enumerate(self._items):
-            if isinstance(item, Label):
-                offsets[item.name] = pos
-                sizes.append(0)
-                continue
-            size = self._item_size(idx, long_branches, pos)
-            sizes.append(size)
-            pos += size
-        return offsets, sizes
+            if isinstance(item, Insn):
+                spec = isa.SPEC_BY_MNEMONIC.get(item.mnemonic)
+                if spec is None:
+                    raise AssemblyError("unknown mnemonic %r" % item.mnemonic)
+                if (spec.is_pc_relative and item.operands
+                        and isinstance(item.operands[0], LabelRef)):
+                    target = item.operands[0].name
+                    classes.append((_BRANCH, target))
+                    # Calls have no short form; undefined targets are
+                    # always long.
+                    relaxable = (target in defined
+                                 and item.mnemonic in _SHORT_FOR_LONG)
+                    long_branches[idx] = \
+                        not self._allow_short if relaxable else True
+                else:
+                    classes.append((_PLAIN, spec))
+            elif isinstance(item, Label):
+                classes.append((_LABEL, item.name))
+            elif isinstance(item, Align):
+                classes.append((_ALIGN, item.boundary))
+                boundaries.append(item.boundary)
+            else:
+                assert isinstance(item, Data)
+                classes.append((_DATA, len(item.payload)))
+        # Checked after the loop: an unknown mnemonic anywhere in the
+        # stream is the error reported, as it always was.
+        for boundary in boundaries:
+            if boundary <= 0 or boundary & (boundary - 1):
+                raise AssemblyError("alignment must be a power of two")
+        return classes, long_branches
 
-    def _item_offset(self, idx: int, sizes: List[int]) -> int:
-        return sum(sizes[:idx])
+    @staticmethod
+    def _layout(classes: List[Tuple[int, Any]],
+                long_branches: Dict[int, bool],
+                ) -> Tuple[Dict[str, int], List[int]]:
+        """Label offsets and item start offsets for the current state;
+        ``starts`` has one extra entry, the end of the stream."""
+        labels: Dict[str, int] = {}
+        starts: List[int] = []
+        pos = 0
+        for idx, (cls, arg) in enumerate(classes):
+            starts.append(pos)
+            if cls == _PLAIN:
+                pos += arg.length
+            elif cls == _LABEL:
+                labels[arg] = pos
+            elif cls == _BRANCH:
+                pos += _LONG_LEN if long_branches[idx] else _SHORT_LEN
+            elif cls == _ALIGN:
+                pos += -pos % arg
+            else:
+                pos += arg
+        starts.append(pos)
+        return labels, starts
 
-    def _emit(self, long_branches: Dict[int, bool], offsets: Dict[str, int],
-              sizes: List[int]) -> AssembledCode:
+    def _emit(self, classes: List[Tuple[int, Any]],
+              long_branches: Dict[int, bool], labels: Dict[str, int],
+              starts: List[int]) -> AssembledCode:
         out = bytearray()
         relocs: List[RelocationRequest] = []
-        for idx, item in enumerate(self._items):
-            if isinstance(item, Label):
+        for idx, (cls, arg) in enumerate(classes):
+            if cls == _LABEL:
                 continue
-            if isinstance(item, Align):
-                out += nop_sequence(sizes[idx])
-                continue
-            if isinstance(item, Data):
-                base = len(out)
+            item = self._items[idx]
+            at = len(out)
+            if cls == _PLAIN:
+                encoded, fields = _encode_plain_memoised(item, arg)
+                out += encoded
+                for field_offset, ref in fields:
+                    relocs.append(RelocationRequest(
+                        offset=at + field_offset, symbol=ref.name,
+                        kind="abs32", addend=ref.addend))
+            elif cls == _BRANCH:
+                out += self._encode_branch(item, arg, long_branches[idx],
+                                           labels, at, relocs)
+            elif cls == _ALIGN:
+                out += nop_sequence(starts[idx + 1] - starts[idx])
+            else:
                 out += item.payload
                 for rel_off, ref in item.relocs:
                     relocs.append(RelocationRequest(
-                        offset=base + rel_off, symbol=ref.name,
+                        offset=at + rel_off, symbol=ref.name,
                         kind="abs32", addend=ref.addend))
-                continue
-            assert isinstance(item, Insn)
-            out += self._encode_insn(idx, item, long_branches, offsets,
-                                     len(out), relocs)
-        return AssembledCode(code=bytes(out), labels=dict(offsets),
+        return AssembledCode(code=bytes(out), labels=labels,
                              relocations=relocs)
 
-    def _encode_insn(self, idx: int, item: Insn,
-                     long_branches: Dict[int, bool], offsets: Dict[str, int],
-                     at: int, relocs: List[RelocationRequest]) -> bytes:
-        mnemonic = item.mnemonic
-        spec = isa.SPEC_BY_MNEMONIC[mnemonic]
-        target = self._branch_target(item)
-
-        if target is not None:
-            if idx in long_branches and not long_branches[idx]:
-                short = _SHORT_FOR_LONG[mnemonic]
-                disp = offsets[target] - (at + _SHORT_LEN)
-                return isa.encode_instruction(isa.make(short, disp))
-            if target in offsets:
-                disp = offsets[target] - (at + _LONG_LEN)
-                return isa.encode_instruction(isa.make(mnemonic, disp))
-            # Undefined symbol: emit long form with pc32 relocation.
-            insn = isa.make(mnemonic, 0)
-            encoded = bytearray(isa.encode_instruction(insn))
-            rel_off = spec.pc_relative_operand_offset
-            assert rel_off is not None
-            relocs.append(RelocationRequest(
-                offset=at + rel_off, symbol=target, kind="pc32",
-                addend=PC32_ADDEND))
-            return bytes(encoded)
-
-        # Non-branch: resolve SymRef operands to relocations.
-        values: List[int] = []
-        pending: List[Tuple[int, SymRef]] = []  # (operand index, ref)
-        real_kinds = [k for k in spec.operands if k is not OperandKind.PAD]
-        if len(item.operands) != len(real_kinds):
-            raise AssemblyError(
-                "%s takes %d operands, got %d"
-                % (mnemonic, len(real_kinds), len(item.operands)))
-        for op_idx, (kind, operand) in enumerate(zip(real_kinds, item.operands)):
-            if isinstance(operand, SymRef):
-                if kind not in (OperandKind.ABS32, OperandKind.IMM32):
-                    raise AssemblyError(
-                        "symbolic operand not allowed for %s field of %s"
-                        % (kind.value, mnemonic))
-                pending.append((op_idx, operand))
-                values.append(0)
-            elif isinstance(operand, LabelRef):
-                raise AssemblyError(
-                    "label reference in non-branch operand of %s" % mnemonic)
-            else:
-                values.append(int(operand))
-        encoded = isa.encode_instruction(Instruction(spec=spec,
-                                                     operands=tuple(values)))
-        for op_idx, ref in pending:
-            field_off = self._operand_field_offset(spec, op_idx)
-            relocs.append(RelocationRequest(
-                offset=at + field_off, symbol=ref.name, kind="abs32",
-                addend=ref.addend))
-        return encoded
-
     @staticmethod
-    def _operand_field_offset(spec, operand_index: int) -> int:
-        """Byte offset of the Nth non-PAD operand field."""
-        sizes = {
-            OperandKind.REG: 1,
-            OperandKind.IMM32: 4,
-            OperandKind.ABS32: 4,
-            OperandKind.REL32: 4,
-            OperandKind.REL8: 1,
-            OperandKind.PAD: 1,
-        }
-        offset = 1
-        seen = 0
-        for kind in spec.operands:
-            if kind is not OperandKind.PAD:
-                if seen == operand_index:
-                    return offset
-                seen += 1
-            offset += sizes[kind]
-        raise AssemblyError("operand index out of range")
+    def _encode_branch(item: Insn, target: str, is_long: bool,
+                       labels: Dict[str, int], at: int,
+                       relocs: List[RelocationRequest]) -> bytes:
+        mnemonic = item.mnemonic
+        if not is_long:
+            disp = labels[target] - (at + _SHORT_LEN)
+            return isa.encode_instruction(
+                isa.make(_SHORT_FOR_LONG[mnemonic], disp))
+        if target in labels:
+            disp = labels[target] - (at + _LONG_LEN)
+            return isa.encode_instruction(isa.make(mnemonic, disp))
+        # Undefined symbol: emit long form with pc32 relocation.
+        encoded = isa.encode_instruction(isa.make(mnemonic, 0))
+        rel_off = isa.SPEC_BY_MNEMONIC[mnemonic].pc_relative_operand_offset
+        assert rel_off is not None
+        relocs.append(RelocationRequest(
+            offset=at + rel_off, symbol=target, kind="pc32",
+            addend=PC32_ADDEND))
+        return encoded
 
 
 def assemble(items: Sequence[Item], allow_short_branches: bool = True) -> AssembledCode:
@@ -332,6 +362,14 @@ def _parse_operand(token: str, kind: OperandKind) -> object:
         raise AssemblyError("bad operand %r" % token)
     addend = int(match.group(2).replace(" ", "")) if match.group(2) else 0
     return SymRef(match.group(1), addend)
+
+
+def _directive_int(directive: str, token: str) -> int:
+    try:
+        return int(token.strip(), 0)
+    except ValueError:
+        raise AssemblyError("bad %s value %r"
+                            % (directive, token.strip())) from None
 
 
 @dataclass
@@ -380,10 +418,10 @@ def parse_asm(text: str) -> ParsedAsm:
             local_symbols.append(rest.strip())
             continue
         if head == ".align":
-            items().append(Align(int(rest.strip(), 0)))
+            items().append(Align(_directive_int(head, rest)))
             continue
         if head == ".byte":
-            values = [int(v.strip(), 0) & 0xFF for v in rest.split(",")]
+            values = [_directive_int(head, v) & 0xFF for v in rest.split(",")]
             items().append(Data(bytes(values)))
             continue
         if head == ".word":

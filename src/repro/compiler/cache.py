@@ -20,9 +20,10 @@ flavor matters: a merged-section build and a function-sections build of
 the same source are different objects.
 
 Cached values are shared, never copied, which is safe because every
-consumer treats them as immutable: the compiler deep-copies ASTs before
-inlining mutates them, the linker writes relocations into its own image
-buffer, and extraction copies sections (see ``core/extract.py``).
+consumer treats them as immutable: a compile never mutates a cached AST
+(the compiler deep-copies only the functions the inliner rewrites), the
+linker writes relocations into its own image buffer, and extraction
+copies sections (see ``core/extract.py``).
 
 Storage sits behind :class:`CacheBackend` tiers.  Every
 :class:`ContentCache` always has a bounded in-memory LRU tier
@@ -421,8 +422,8 @@ def source_digest(source: str) -> str:
 def parse_unit_cached(source: str, unit_name: str = "<unit>") -> ast.Unit:
     """Content-addressed ``parse_unit``.
 
-    The returned Unit is shared — callers that mutate must deep-copy
-    first (``compile_unit`` already does).
+    The returned Unit is shared — callers must not mutate it
+    (``compile_unit`` copies the functions its inliner rewrites).
     """
     key = (unit_name, source_digest(source))
     cached = PARSE_CACHE.get(key, size=len(source))

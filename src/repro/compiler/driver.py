@@ -28,7 +28,11 @@ from repro.objfile import (
 )
 from repro.objfile.section import kind_for_name
 from repro.compiler.codegen import FunctionCode, UnitContext, compile_function
-from repro.compiler.inliner import InlineReport, inline_unit
+from repro.compiler.inliner import (
+    InlineReport,
+    inline_unit,
+    rewritten_functions,
+)
 from repro.compiler.layout import (
     collect_data_items,
     layout_merged,
@@ -67,8 +71,17 @@ class CompileResult:
 
 
 def compile_unit(unit: ast.Unit, options: CompilerOptions) -> CompileResult:
-    """Compile a parsed MiniC unit into an object file."""
-    working = copy.deepcopy(unit)
+    """Compile a parsed MiniC unit into an object file.
+
+    ``unit`` is never modified (the parse cache shares it).  The inliner
+    rewrites a shallow copy whose decls hold deep copies of exactly the
+    functions it rewrites; every other decl, and every type, is shared.
+    """
+    rewritten = {id(fn) for fn in rewritten_functions(unit,
+                                                      options.opt_level)}
+    working = replace(unit, decls=[
+        copy.deepcopy(decl) if id(decl) in rewritten else decl
+        for decl in unit.decls])
     report = inline_unit(working, opt_level=options.opt_level)
     ctx = UnitContext.for_unit(working,
                                align_loops=options.opt_level >= 2)

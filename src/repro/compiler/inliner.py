@@ -19,7 +19,7 @@ under expression substitution: every parameter that is used more than once
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Container, Dict, List, Optional, Tuple
 
 from repro.lang import ast
 
@@ -172,30 +172,61 @@ def _single_return_expr(fn: ast.FunctionDef) -> Optional[ast.Expr]:
     return statements[0].value
 
 
-def _calls_function(expr: ast.Expr, name: str) -> bool:
+def _calls_any(expr: ast.Expr, names: Container[str]) -> bool:
+    """Does ``expr`` call any function named in ``names``?"""
     if isinstance(expr, ast.Call):
-        if expr.callee == name:
+        if expr.callee in names:
             return True
-        return any(_calls_function(a, name) for a in expr.args)
+        return any(_calls_any(a, names) for a in expr.args)
     if isinstance(expr, ast.Unary):
-        return _calls_function(expr.operand, name)
+        return _calls_any(expr.operand, names)
     if isinstance(expr, ast.Binary):
-        return (_calls_function(expr.left, name)
-                or _calls_function(expr.right, name))
+        return (_calls_any(expr.left, names)
+                or _calls_any(expr.right, names))
     if isinstance(expr, ast.Assign):
-        return (_calls_function(expr.target, name)
-                or _calls_function(expr.value, name))
+        return (_calls_any(expr.target, names)
+                or _calls_any(expr.value, names))
     if isinstance(expr, ast.Index):
-        return (_calls_function(expr.base, name)
-                or _calls_function(expr.index, name))
+        return (_calls_any(expr.base, names)
+                or _calls_any(expr.index, names))
     if isinstance(expr, ast.FieldAccess):
-        return _calls_function(expr.base, name)
+        return _calls_any(expr.base, names)
     if isinstance(expr, ast.IncDec):
-        return _calls_function(expr.target, name)
+        return _calls_any(expr.target, names)
     if isinstance(expr, ast.Conditional):
-        return (_calls_function(expr.cond, name)
-                or _calls_function(expr.then, name)
-                or _calls_function(expr.otherwise, name))
+        return (_calls_any(expr.cond, names)
+                or _calls_any(expr.then, names)
+                or _calls_any(expr.otherwise, names))
+    return False
+
+
+def _stmt_calls_any(stmt: ast.Stmt, names: Container[str]) -> bool:
+    """:func:`_calls_any` over every expression :class:`_CallInliner`
+    visits in ``stmt``."""
+    if isinstance(stmt, ast.Block):
+        return any(_stmt_calls_any(s, names) for s in stmt.statements)
+    if isinstance(stmt, ast.ExprStmt):
+        return _calls_any(stmt.expr, names)
+    if isinstance(stmt, ast.LocalDecl):
+        return stmt.init is not None and _calls_any(stmt.init, names)
+    if isinstance(stmt, ast.If):
+        return (_calls_any(stmt.cond, names)
+                or _stmt_calls_any(stmt.then, names)
+                or (stmt.otherwise is not None
+                    and _stmt_calls_any(stmt.otherwise, names)))
+    if isinstance(stmt, ast.While):
+        return (_calls_any(stmt.cond, names)
+                or (stmt.step is not None and _calls_any(stmt.step, names))
+                or _stmt_calls_any(stmt.body, names))
+    if isinstance(stmt, ast.DoWhile):
+        return (_calls_any(stmt.cond, names)
+                or _stmt_calls_any(stmt.body, names))
+    if isinstance(stmt, ast.Switch):
+        return (_calls_any(stmt.selector, names)
+                or any(_stmt_calls_any(inner, names)
+                       for case in stmt.cases for inner in case.body))
+    if isinstance(stmt, ast.Return):
+        return stmt.value is not None and _calls_any(stmt.value, names)
     return False
 
 
@@ -203,7 +234,7 @@ def _is_candidate(fn: ast.FunctionDef, opt_level: int) -> Optional[_Candidate]:
     expr = _single_return_expr(fn)
     if expr is None:
         return None
-    if _count_uses(expr, fn.name) or _calls_function(expr, fn.name):
+    if _count_uses(expr, fn.name) or _calls_any(expr, (fn.name,)):
         return None  # recursive
     budget = INLINE_KEYWORD_NODES if fn.is_inline else SMALL_BODY_NODES
     if opt_level < 2 and not fn.is_inline:
@@ -306,22 +337,47 @@ class _CallInliner:
                 stmt.value = self.rewrite_expr(stmt.value)
 
 
-def inline_unit(unit: ast.Unit, opt_level: int = 2) -> InlineReport:
-    """Inline eligible calls within ``unit`` in place; return the report."""
-    report = InlineReport()
+def _candidates(unit: ast.Unit, opt_level: int) -> Dict[str, _Candidate]:
+    candidates: Dict[str, _Candidate] = {}
     if opt_level < 1:
-        return report
-    candidates = {}
+        return candidates
     for fn in unit.functions():
         candidate = _is_candidate(fn, opt_level)
         if candidate is not None:
             candidates[fn.name] = candidate
+    return candidates
 
+
+def _callers(unit: ast.Unit,
+             candidates: Dict[str, _Candidate]) -> List[ast.FunctionDef]:
+    """Functions whose bodies call a candidate other than themselves."""
+    callers = []
+    for fn in unit.functions():
+        others = [name for name in candidates if name != fn.name]
+        if others and _stmt_calls_any(fn.body, others):
+            callers.append(fn)
+    return callers
+
+
+def rewritten_functions(unit: ast.Unit,
+                        opt_level: int = 2) -> List[ast.FunctionDef]:
+    """The functions :func:`inline_unit` may rewrite: those whose bodies
+    call an inline candidate other than themselves.  Inlining only adds
+    call sites to a function by substituting into one of its candidate
+    calls, so no round ever changes any other function."""
+    return _callers(unit, _candidates(unit, opt_level))
+
+
+def inline_unit(unit: ast.Unit, opt_level: int = 2) -> InlineReport:
+    """Inline eligible calls within ``unit`` in place; return the report.
+
+    Only :func:`rewritten_functions` are modified."""
+    report = InlineReport()
+    candidates = _candidates(unit, opt_level)
+    callers = _callers(unit, candidates)
     for _ in range(_MAX_ROUNDS):
         any_changed = False
-        for fn in unit.functions():
-            if fn.body is None:
-                continue
+        for fn in callers:
             rewriter = _CallInliner(fn.name, {
                 name: cand for name, cand in candidates.items()
                 if name != fn.name

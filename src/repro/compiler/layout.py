@@ -61,8 +61,8 @@ class DataItem:
         words = list(self.init_words or [])
         want = self.size // 4
         words += [0] * (want - len(words))
-        return b"".join(struct.pack("<i", w & 0xFFFFFFFF if w >= 0 else w)
-                        for w in words)
+        # Words wrap mod 2**32, as movi immediates do.
+        return b"".join(struct.pack("<I", w & 0xFFFFFFFF) for w in words)
 
 
 def collect_data_items(unit: ast.Unit,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CompileError
 from repro.lang import ast
@@ -38,10 +38,17 @@ _BINARY_LEVELS: Tuple[Tuple[str, ...], ...] = (
     ("*", "/", "%"),
 )
 
+#: binary operator -> its level in ``_BINARY_LEVELS`` (higher binds tighter)
+_BINARY_PRECEDENCE: Dict[str, int] = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
 _COMPOUND_ASSIGN = {
     "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
     "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>",
 }
+
+_UNARY_OPS = frozenset(("-", "!", "~", "*", "&"))
+_INCDEC_DELTA = {"++": 1, "--": -1}
 
 
 class Parser:
@@ -60,15 +67,16 @@ class Parser:
         return self._tokens[idx]
 
     def _advance(self) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not TokenKind.EOF:
             self._pos += 1
         return token
 
     def _check(self, text: str) -> bool:
-        token = self._peek()
-        return token.kind in (TokenKind.PUNCT, TokenKind.KEYWORD) and \
-            token.text == text
+        # One text comparison suffices: the lexer marks every keyword as
+        # KEYWORD, so an identifier's or a number's text never equals a
+        # punctuator or a keyword, and nobody asks for EOF's "".
+        return self._tokens[self._pos].text == text
 
     def _accept(self, text: str) -> bool:
         if self._check(text):
@@ -254,6 +262,9 @@ class Parser:
         if isinstance(expr, ast.Binary):
             left = self._const_eval(expr.left)
             right = self._const_eval(expr.right)
+            if expr.op in ("<<", ">>") and right < 0:
+                raise self._error("negative shift count %d in constant "
+                                  "expression" % right)
             ops = {
                 "+": lambda: left + right,
                 "-": lambda: left - right,
@@ -420,14 +431,17 @@ class Parser:
 
     def _parse_assignment(self) -> ast.Expr:
         left = self._parse_ternary()
-        if self._accept("="):
+        text = self._tokens[self._pos].text
+        if text == "=":
+            self._pos += 1
             return ast.Assign(target=left, value=self._parse_assignment())
-        for op_text, bare_op in _COMPOUND_ASSIGN.items():
-            if self._accept(op_text):
-                value = self._parse_assignment()
-                return ast.Assign(target=left,
-                                  value=ast.Binary(op=bare_op, left=left,
-                                                   right=value))
+        bare_op = _COMPOUND_ASSIGN.get(text)
+        if bare_op is not None:
+            self._pos += 1
+            value = self._parse_assignment()
+            return ast.Assign(target=left,
+                              value=ast.Binary(op=bare_op, left=left,
+                                               right=value))
         return left
 
     def _parse_ternary(self) -> ast.Expr:
@@ -439,33 +453,32 @@ class Parser:
             return ast.Conditional(cond=cond, then=then, otherwise=otherwise)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over ``_BINARY_LEVELS``: operators at
+        ``min_level`` or tighter, every level left-associative."""
+        left = self._parse_unary()
+        tokens = self._tokens
         while True:
-            matched = None
-            for op in _BINARY_LEVELS[level]:
-                if self._check(op):
-                    matched = op
-                    break
-            if matched is None:
+            op = tokens[self._pos].text
+            level = _BINARY_PRECEDENCE.get(op)
+            if level is None or level < min_level:
                 return left
-            self._advance()
+            self._pos += 1
             right = self._parse_binary(level + 1)
-            left = ast.Binary(op=matched, left=left, right=right)
+            left = ast.Binary(op=op, left=left, right=right)
 
     def _parse_unary(self) -> ast.Expr:
-        for op in ("-", "!", "~", "*", "&"):
-            if self._accept(op):
-                return ast.Unary(op=op, operand=self._parse_unary())
-        if self._accept("++"):
-            return ast.IncDec(target=self._parse_unary(), delta=1,
+        text = self._tokens[self._pos].text
+        if text in _UNARY_OPS:
+            self._pos += 1
+            return ast.Unary(op=text, operand=self._parse_unary())
+        delta = _INCDEC_DELTA.get(text)
+        if delta is not None:
+            self._pos += 1
+            return ast.IncDec(target=self._parse_unary(), delta=delta,
                               is_prefix=True)
-        if self._accept("--"):
-            return ast.IncDec(target=self._parse_unary(), delta=-1,
-                              is_prefix=True)
-        if self._accept("sizeof"):
+        if text == "sizeof":
+            self._pos += 1
             self._expect("(")
             measured = self._parse_base_type()
             self._expect(")")
@@ -474,31 +487,37 @@ class Parser:
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self._tokens
         while True:
-            if self._accept("["):
+            text = tokens[self._pos].text
+            if text == "[":
+                self._pos += 1
                 index = self._parse_expr()
                 self._expect("]")
                 expr = ast.Index(base=expr, index=index)
-            elif self._accept("->"):
+            elif text == "->" or text == ".":
+                self._pos += 1
                 expr = ast.FieldAccess(base=expr,
                                        fieldname=self._expect_ident(),
-                                       arrow=True)
-            elif self._accept("."):
-                expr = ast.FieldAccess(base=expr,
-                                       fieldname=self._expect_ident(),
-                                       arrow=False)
-            elif self._accept("++"):
-                expr = ast.IncDec(target=expr, delta=1, is_prefix=False)
-            elif self._accept("--"):
-                expr = ast.IncDec(target=expr, delta=-1, is_prefix=False)
+                                       arrow=text == "->")
+            elif text in _INCDEC_DELTA:
+                self._pos += 1
+                expr = ast.IncDec(target=expr, delta=_INCDEC_DELTA[text],
+                                  is_prefix=False)
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is TokenKind.NUMBER:
-            self._advance()
-            return ast.Number(int(token.text, 0))
+            try:
+                value = int(token.text, 0)
+            except ValueError:
+                # "0123": MiniC has no octal, and Python refuses it too
+                raise self._error("invalid integer literal %r"
+                                  % token.text) from None
+            self._pos += 1
+            return ast.Number(value)
         if token.kind is TokenKind.IDENT:
             name = self._advance().text
             if self._accept("("):

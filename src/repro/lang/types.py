@@ -16,7 +16,15 @@ WORD_SIZE = 4
 
 
 class Type:
-    """Base class for MiniC types."""
+    """Base class for MiniC types.
+
+    A type never changes once the parser has finished its unit, so a
+    deep copy of an AST shares its types instead of copying them (which
+    also keeps struct identity intact, see :class:`StructType`).
+    """
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Type":
+        return self
 
     @property
     def size(self) -> int:

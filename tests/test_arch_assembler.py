@@ -215,6 +215,17 @@ def test_parse_bad_directive_raises():
         parse_asm("    .bogus 1\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    (".align abc", "bad .align value 'abc'"),
+    (".align", "bad .align value ''"),
+    (".byte 1, zz", "bad .byte value 'zz'"),
+])
+def test_parse_bad_directive_value_raises(line, message):
+    with pytest.raises(AssemblyError) as exc:
+        parse_asm("    %s\n" % line)
+    assert str(exc.value) == message
+
+
 def test_parse_bad_mnemonic_raises():
     with pytest.raises(AssemblyError):
         parse_asm("    frobnicate r0\n")

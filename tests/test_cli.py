@@ -210,6 +210,19 @@ def test_bad_patch_reports_error(tree_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_patch_with_octal_literal_reports_error(tree_dir, tmp_path,
+                                               capsys):
+    patch_file = tmp_path / "octal.patch"
+    patch_file.write_text(PATCH.replace("+    return 42;",
+                                        "+    return 0123;"))
+    rc = main(["create", "--patch", str(patch_file),
+               "--tree", str(tree_dir)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "0123" in err
+    assert "Traceback" not in err
+
+
 def test_missing_patch_file_is_user_error(tree_dir, tmp_path, capsys):
     rc = main(["create", "--patch", str(tmp_path / "no-such.patch"),
                "--tree", str(tree_dir)])

@@ -90,6 +90,29 @@ def test_data_vs_bss_placement():
     assert split_obj.symbol("zeroed").section == ".bss.zeroed"
 
 
+def test_data_words_wrap_like_immediates():
+    """Initializers outside signed 32 bits wrap mod 2**32, as ``movi``
+    immediates do; in-range values pack exactly as before."""
+    import struct
+
+    source = ("int big = 0xFFFFFFFF;\n"
+              "int table[4] = {-1, 0x80000000, -2147483648, 7};\n"
+              "int f(void) { return 0xFFFFFFFF; }\n")
+    merged, split = compile_both(source)
+    assert split.objfile.section(".data.big").data == b"\xff" * 4
+    assert split.objfile.section(".data.table").data == \
+        struct.pack("<iiii", -1, -2 ** 31, -2 ** 31, 7)
+    data = merged.objfile.section(".data").data
+    assert data[:4] == b"\xff" * 4
+
+
+def test_literal_and_shift_errors_are_compile_errors():
+    for source in ("int f(void) { return 0123; }", "int x = 09;",
+                   "int x = 1 << -1;"):
+        with pytest.raises(CompileError):
+            compile_source(source, "u.c")
+
+
 def test_extern_produces_undefined_symbol():
     merged, _ = compile_both(KERNEL_C)
     undefined = {s.name for s in merged.objfile.undefined_symbols()}

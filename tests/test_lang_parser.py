@@ -228,3 +228,40 @@ def test_non_constant_global_init_raises():
 def test_extern_with_initializer_raises():
     with pytest.raises(CompileError):
         parse_unit("extern int x = 1;")
+
+
+@pytest.mark.parametrize("source, literal", [
+    ("int f(void) {\n  return 0123;\n}", "0123"),
+    ("int x = 09;", "09"),
+    ("int a[2] = {1, 007};", "007"),
+])
+def test_octal_looking_literals_raise_compile_error(source, literal):
+    """MiniC has no octal: a leading zero before other digits is a
+    typed error naming the unit, the line and the literal."""
+    with pytest.raises(CompileError) as exc:
+        parse_unit(source, unit_name="oct.c")
+    line = source[:source.index(literal)].count("\n") + 1
+    assert str(exc.value) == \
+        "oct.c:%d: invalid integer literal %r" % (line, literal)
+
+
+def test_zero_and_hex_literals_still_parse():
+    unit = parse_unit("int a[3] = {0, 00, 0x1F};")
+    assert unit.global_vars()[0].init == [0, 0, 31]
+
+
+@pytest.mark.parametrize("expr", ["1 << -1", "8 >> -2", "1 << (2 - 3)"])
+def test_negative_constant_shift_raises_compile_error(expr):
+    with pytest.raises(CompileError) as exc:
+        parse_unit("int x = %s;" % expr, unit_name="shift.c")
+    assert str(exc.value).startswith("shift.c:1: negative shift count")
+
+
+def test_binary_operators_associate_left_at_every_level():
+    for op in ("||", "&&", "|", "^", "&", "==", "<", "<<", "-", "/"):
+        unit = parse_unit("int f(int a, int b, int c) "
+                          "{ return a %s b %s c; }" % (op, op))
+        expr = unit.functions()[0].body.statements[0].value
+        assert isinstance(expr.left, ast.Binary), op
+        assert (expr.op, expr.left.op) == (op, op)
+        assert isinstance(expr.right, ast.Name), op
