@@ -12,27 +12,23 @@ not with one machine's cores:
   challenge/response with a shared secret, anonymous DH without one),
   per-session key derivation, and the frame cipher that encrypts
   every post-handshake record;
-* :mod:`~repro.distributed.protocol` — framing and the wire
-  vocabulary, plus the synchronous :class:`MessageStream` adapter for
-  blocking callers (``fleet/remote``, the executor);
+* :mod:`~repro.distributed.protocol` — the record format both
+  transports call (encode, seal, bound, open), the wire vocabulary,
+  and the blocking :class:`MessageStream` whose one caller is
+  :mod:`repro.fleet.remote`;
 * :mod:`~repro.distributed.aio` — the asyncio transport: one event
-  loop multiplexing thousands of peers, bounded per-peer send queues
-  for backpressure, batch-sealed records;
+  loop multiplexing every peer, bounded per-peer send queues for
+  backpressure, batch-sealed records;
 * :mod:`~repro.distributed.worker` — the ``repro worker`` serve loop:
   evaluates items in executor threads (heartbeats are answered while
-  an item runs), streams each ``CveResult`` as it finishes, and can
-  be spawned on localhost for tests;
+  an item runs), streams each ``CveResult`` as it finishes, runs whole
+  fleet rollouts shipped as one item, and can be spawned on localhost
+  for tests;
 * :mod:`~repro.distributed.coordinator` — the scheduler: per-version
   lead items that warm the run-build cache, then per-CVE work-stealing
   for the tails, heartbeats, bounded retry, reconnects with
   exponential backoff and jitter, and local rescue of anything the
-  fleet cannot finish;
-* :mod:`~repro.distributed.executor` — a ``ProcessPoolExecutor``-shaped
-  adapter so group-based code (``engine._evaluate_parallel``) runs
-  against remote workers unchanged;
-* :mod:`~repro.distributed.fabric` — fleet-scale rollout dispatch:
-  update waves to 10k members on one event loop, with the threaded
-  v2-architecture baseline kept for the benchmark.
+  fleet cannot finish.
 
 Entry points: ``evaluate_corpus(workers=[...])`` /
 ``repro evaluate --workers`` on the coordinator side and
@@ -53,7 +49,6 @@ from repro.distributed.aio import (
 )
 
 from repro.distributed.coordinator import Coordinator, WorkItem
-from repro.distributed.executor import DistributedExecutor
 from repro.distributed.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
@@ -65,8 +60,6 @@ from repro.distributed.protocol import (
     connect_stream,
     default_secret,
     parse_address,
-    recv_message,
-    send_message,
 )
 from repro.distributed.worker import (
     LocalWorker,
@@ -78,7 +71,6 @@ __all__ = [
     "AsyncChannel",
     "AuthError",
     "Coordinator",
-    "DistributedExecutor",
     "LocalWorker",
     "MAX_FRAME",
     "MessageStream",
@@ -92,8 +84,6 @@ __all__ = [
     "connect_stream",
     "default_secret",
     "parse_address",
-    "recv_message",
-    "send_message",
     "serve",
     "spawn_local_workers",
 ]

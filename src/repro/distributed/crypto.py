@@ -171,9 +171,8 @@ class FrameCipher:
         self._seq = 0
         # hmac.new() re-hashes the key every call; keying once and
         # .copy()-ing per frame keeps the per-frame MAC cost to the
-        # two compression blocks that actually cover the data.  This
-        # is the fabric's hottest code: 2 seals + 2 opens per
-        # member-update at 10k-member scale.
+        # two compression blocks that actually cover the data; every
+        # record in both directions of every session pays it.
         self._mac = hmac.new(mac_key, digestmod="sha256")
         self._shake = hashlib.shake_128(enc_key)
 

@@ -1,12 +1,12 @@
 """Protocol v3 session layer: encrypted, length-prefixed binary frames.
 
-This module is the **synchronous compatibility surface** of the v3
-fabric.  The asyncio coordinator and worker (:mod:`.aio`,
-:mod:`.coordinator`, :mod:`.worker`) are the scale path; everything
-that still talks blocking sockets — :class:`~.executor.DistributedExecutor`,
-:mod:`repro.fleet.remote`, tests — drives the same wire through
-:class:`MessageStream` here, so both paths are byte-compatible on the
-wire.
+This module owns the v3 **record format**.  Both transports call the
+same plain functions here to encode, seal, bound and open records: the
+asyncio :class:`~.aio.AsyncChannel` (coordinator and worker) and the
+blocking :class:`MessageStream` below, whose one caller is
+:mod:`repro.fleet.remote` (the client of a remote rollout).  The two
+are therefore byte-compatible by construction, and a sync peer talks
+to an async peer freely.
 
 Wire stack, bottom up:
 
@@ -20,23 +20,18 @@ Wire stack, bottom up:
 2. **Records**: ``!I`` length prefix + ciphertext + 16-byte tag.  A
    record's plaintext is a *batch*: one or more ``!I``-length-prefixed
    frames sealed together, so a pipelined burst pays one keystream and
-   one MAC instead of one per frame (the same trick TLS records play;
-   it is the difference between crypto dominating the fabric's hot
-   path and crypto disappearing into it).  Every record — all frame
-   types, both directions — is encrypted and authenticated with the
-   session keys; per-record sequence numbers prevent replay and
-   reordering.  ``max_frame`` bounds **every** frame (v2 only bounded
-   handshake frames): a peer claiming an oversized record or smuggling
-   an oversized frame inside one raises :class:`ProtocolError` and is
-   dropped before the payload is interpreted.
+   one MAC instead of one per frame (the same trick TLS records play).
+   Every record — all frame types, both directions — is encrypted and
+   authenticated with the session keys; per-record sequence numbers
+   prevent replay and reordering.  ``max_frame`` bounds **every**
+   frame (v2 only bounded handshake frames): a peer claiming an
+   oversized record or smuggling an oversized frame inside one raises
+   :class:`ProtocolError` and is dropped before the payload is
+   interpreted.
 3. **Frames**: the compact binary encoding in
    :mod:`~repro.distributed.wire` — struct-packed headers, kpack
    bodies, a closed class registry.  ``pickle`` is gone from the data
    plane: no network byte ever reaches ``pickle.loads``.
-
-``send_message``/``recv_message`` remain as *plaintext* frame helpers
-for tests and diagnostics over trusted local socketpairs; real sessions
-always go through a handshaken :class:`MessageStream`.
 """
 
 from __future__ import annotations
@@ -67,8 +62,10 @@ PROTOCOL_VERSION = 3
 #: checked against the session's limit, not just handshake frames
 MAX_FRAME = 64 * 1024 * 1024
 
-#: record length prefix; also the per-frame prefix inside a batch
+#: record length prefix; also the per-frame prefix inside a batch and
+#: the prefix of a raw handshake frame
 _RECORD_HEADER = struct.Struct("!I")
+HEADER_SIZE = _RECORD_HEADER.size
 
 #: most frames a writer coalesces into one sealed record
 BATCH_FRAMES = 256
@@ -76,6 +73,70 @@ BATCH_FRAMES = 256
 #: slack the record-length check allows beyond ``max_frame``: batch
 #: frame prefixes (4 * BATCH_FRAMES) plus the auth tag, rounded up
 _RECORD_SLACK = 2048
+
+# re-exported frame-type names (the wire vocabulary)
+HELLO = wire.HELLO
+READY = wire.READY
+ITEM = wire.ITEM
+RESULT = wire.RESULT
+ITEM_DONE = wire.ITEM_DONE
+ERROR = wire.ERROR
+PING = wire.PING
+PONG = wire.PONG
+SHUTDOWN = wire.SHUTDOWN
+
+
+class ProtocolError(ReproError):
+    """A malformed, oversized, or version-incompatible frame."""
+
+
+class AuthError(ProtocolError):
+    """The peer failed (or refused) the v3 handshake."""
+
+
+#: environment variable holding the fabric's shared secret
+SECRET_ENV = "KSPLICE_WORKER_SECRET"
+
+
+def default_secret() -> Optional[bytes]:
+    """The fabric secret from ``KSPLICE_WORKER_SECRET``, if set."""
+    value = os.environ.get(SECRET_ENV)
+    if not value:
+        return None
+    return value.encode("utf-8")
+
+
+def parse_address(address: str, allow_zero: bool = False) -> tuple:
+    """``"host:port"`` -> ``(host, port)`` with validation.
+
+    An IPv6 host is written in brackets (``"[::1]:7000"``) and comes
+    back without them, as ``getaddrinfo`` wants it.  ``allow_zero``
+    admits port 0 — valid for a *listening* worker (bind an ephemeral
+    port), never for a coordinator connecting out.
+    """
+    host, sep, port_text = address.rpartition(":")
+    if not sep or not host:
+        raise ProtocolError("worker address %r is not host:port" % address)
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ProtocolError("worker address %r has a non-numeric port"
+                            % address)
+    if not (0 if allow_zero else 1) <= port < 65536:
+        raise ProtocolError("worker address %r port out of range" % address)
+    if "[" in host or "]" in host:
+        inner = host[1:-1]
+        if not (host.startswith("[") and host.endswith("]")) \
+                or not inner or "[" in inner or "]" in inner:
+            raise ProtocolError("worker address %r has unbalanced "
+                                "brackets" % address)
+        host = inner
+    return host, port
+
+
+# --------------------------------------------------------------------------
+# The record format (both transports call these)
+# --------------------------------------------------------------------------
 
 
 def pack_batch(frames) -> bytes:
@@ -107,95 +168,133 @@ def split_batch(blob: bytes, max_frame: int) -> list:
         pos += length
     return frames
 
-# re-exported frame-type names (the wire vocabulary)
-HELLO = wire.HELLO
-READY = wire.READY
-ITEM = wire.ITEM
-RESULT = wire.RESULT
-ITEM_DONE = wire.ITEM_DONE
-ERROR = wire.ERROR
-PING = wire.PING
-PONG = wire.PONG
-SHUTDOWN = wire.SHUTDOWN
-UPDATE = wire.UPDATE
-ACK = wire.ACK
 
-
-class ProtocolError(ReproError):
-    """A malformed, oversized, or version-incompatible frame."""
-
-
-class AuthError(ProtocolError):
-    """The peer failed (or refused) the v3 handshake."""
-
-
-#: environment variable holding the fabric's shared secret
-SECRET_ENV = "KSPLICE_WORKER_SECRET"
-
-
-def default_secret() -> Optional[bytes]:
-    """The fabric secret from ``KSPLICE_WORKER_SECRET``, if set."""
-    value = os.environ.get(SECRET_ENV)
-    if not value:
-        return None
-    return value.encode("utf-8")
-
-
-def parse_address(address: str, allow_zero: bool = False) -> tuple:
-    """``"host:port"`` -> ``(host, port)`` with validation.
-
-    ``allow_zero`` admits port 0 — valid for a *listening* worker
-    (bind an ephemeral port), never for a coordinator connecting out.
-    """
-    host, sep, port_text = address.rpartition(":")
-    if not sep or not host:
-        raise ProtocolError("worker address %r is not host:port" % address)
+def encode_message(message: Dict[str, Any], max_frame: int) -> bytes:
+    """One message -> one frame, refused past ``max_frame`` bytes."""
     try:
-        port = int(port_text)
-    except ValueError:
-        raise ProtocolError("worker address %r has a non-numeric port"
-                            % address)
-    if not (0 if allow_zero else 1) <= port < 65536:
-        raise ProtocolError("worker address %r port out of range" % address)
-    return host, port
+        frame = wire.encode_frame(message)
+    except WireError as exc:
+        raise ProtocolError(str(exc))
+    if len(frame) > max_frame:
+        raise ProtocolError("frame of %d bytes exceeds the session "
+                            "max_frame (%d)" % (len(frame), max_frame))
+    return frame
 
 
-# --------------------------------------------------------------------------
-# Raw (handshake) frames — cleartext, tightly bounded
-# --------------------------------------------------------------------------
+def _seal(frames, ciphers: Optional[CipherPair]) -> bytes:
+    plain = pack_batch(frames)
+    record = plain if ciphers is None else ciphers.tx.seal(plain)
+    return _RECORD_HEADER.pack(len(record)) + record
 
 
-def send_raw(sock: socket.socket, payload: bytes) -> None:
-    """One length-prefixed frame of raw bytes (handshake only)."""
-    sock.sendall(_RECORD_HEADER.pack(len(payload)) + payload)
+def seal_records(frames, ciphers: Optional[CipherPair],
+                 max_frame: int) -> bytes:
+    """Frames -> length-prefixed sealed records, ready to write.
+
+    Consecutive frames share a record up to ``BATCH_FRAMES`` frames or
+    ``max_frame`` frame bytes, which is what :func:`record_length`
+    allows a peer to claim.  ``ciphers=None`` leaves records in
+    plaintext (a trusted local socketpair).
+    """
+    records = []
+    batch: list = []
+    total = 0
+    for frame in frames:
+        if batch and (total + len(frame) > max_frame
+                      or len(batch) >= BATCH_FRAMES):
+            records.append(_seal(batch, ciphers))
+            batch, total = [], 0
+        batch.append(frame)
+        total += len(frame)
+    if batch:
+        records.append(_seal(batch, ciphers))
+    return b"".join(records)
 
 
-def recv_raw(sock: socket.socket) -> bytes:
-    """Read one raw frame, bounded by ``MAX_HANDSHAKE_FRAME``.
+def record_length(header: bytes, max_frame: int) -> int:
+    """The length a record header claims, refused before allocation
+    when no batch that fits ``max_frame`` could be that long."""
+    (length,) = _RECORD_HEADER.unpack(header)
+    if length > max_frame + _RECORD_SLACK:
+        raise ProtocolError(
+            "incoming record claims %d bytes (session max_frame is "
+            "%d); dropping the peer" % (length, max_frame))
+    return length
+
+
+def open_record(record: bytes, ciphers: Optional[CipherPair],
+                max_frame: int) -> list:
+    """Authenticate one record's body and decode it into messages."""
+    try:
+        blob = record if ciphers is None else ciphers.rx.open(record)
+    except FrameAuthError as exc:
+        raise ProtocolError(str(exc))
+    try:
+        return [wire.decode_frame(frame)
+                for frame in split_batch(blob, max_frame)]
+    except WireError as exc:
+        raise ProtocolError(str(exc))
+
+
+def raw_frame(payload: bytes) -> bytes:
+    """One length-prefixed cleartext handshake frame."""
+    return _RECORD_HEADER.pack(len(payload)) + payload
+
+
+def handshake_length(header: bytes) -> int:
+    """The length a handshake frame header claims, bounded by
+    ``MAX_HANDSHAKE_FRAME``.
 
     Used exclusively before the handshake completes, so the bound is
     tight: a peer that claims a large frame here is not speaking the
     protocol and the connection is dropped.
     """
-    header = _recv_exactly(sock, _RECORD_HEADER.size)
-    (length,) = _RECORD_HEADER.unpack(header)  # type: ignore[arg-type]
+    (length,) = _RECORD_HEADER.unpack(header)
     if length > MAX_HANDSHAKE_FRAME:
         raise AuthError("pre-auth frame claims %d bytes (max %d)"
                         % (length, MAX_HANDSHAKE_FRAME))
-    if length == 0:
-        return b""
-    return _recv_exactly(sock, length)  # type: ignore[return-value]
+    return length
 
 
-def _recv_exactly(sock: socket.socket, count: int,
-                  allow_eof: bool = False) -> Optional[bytes]:
+def client_ciphers(handshake: ClientHandshake,
+                   secret: Optional[bytes]) -> CipherPair:
+    """A finished client handshake's session keys.
+
+    Raises :class:`AuthError` when a secret is configured but the
+    session is not authenticated.  Unreachable while
+    :class:`ClientHandshake` refuses downgrades, but a secret-configured
+    client must never ship work over an unauthenticated session
+    regardless of handshake internals.
+    """
+    ciphers = handshake.ciphers()
+    if secret is not None and not ciphers.authenticated:
+        raise AuthError("handshake completed without authentication "
+                        "despite a configured secret")
+    return ciphers
+
+
+# --------------------------------------------------------------------------
+# The blocking transport
+# --------------------------------------------------------------------------
+
+
+def send_raw(sock: socket.socket, payload: bytes) -> None:
+    """One raw frame (handshake only)."""
+    sock.sendall(raw_frame(payload))
+
+
+def recv_raw(sock: socket.socket) -> bytes:
+    """Read one raw frame, bounded by ``MAX_HANDSHAKE_FRAME``."""
+    return _recv_exactly(sock, handshake_length(
+        _recv_exactly(sock, HEADER_SIZE)))
+
+
+def _recv_exactly(sock: socket.socket, count: int) -> bytes:
     chunks = []
     remaining = count
     while remaining:
         chunk = sock.recv(remaining)
         if not chunk:
-            if allow_eof and remaining == count:
-                return None
             raise ConnectionError("peer closed mid-frame (%d of %d bytes)"
                                   % (count - remaining, count))
         chunks.append(chunk)
@@ -203,17 +302,12 @@ def _recv_exactly(sock: socket.socket, count: int,
     return b"".join(chunks)
 
 
-# --------------------------------------------------------------------------
-# The session channel
-# --------------------------------------------------------------------------
-
-
 class MessageStream:
     """One side of an established v3 session over a blocking socket.
 
     Created by :func:`connect_stream` / :func:`accept_stream` (which
     run the handshake) or directly with ``ciphers=None`` for plaintext
-    framing over a trusted local socketpair (tests).
+    records over a trusted local socketpair (tests).
 
     The reader keeps partial records in a buffer across
     ``socket.timeout`` raises — a heartbeat timeout mid-frame does not
@@ -231,28 +325,11 @@ class MessageStream:
         self._buf = bytearray()
         self._pending: list = []  # decoded messages from the last batch
 
-    @property
-    def encrypted(self) -> bool:
-        return self.ciphers is not None
-
-    @property
-    def authenticated(self) -> bool:
-        return self.ciphers is not None and self.ciphers.authenticated
-
     def send(self, message: Dict[str, Any]) -> None:
         """Encode, seal, and write one message as a one-frame record."""
-        try:
-            frame = wire.encode_frame(message)
-        except WireError as exc:
-            raise ProtocolError(str(exc))
-        if len(frame) > self.max_frame:
-            raise ProtocolError("frame of %d bytes exceeds the session "
-                                "max_frame (%d)"
-                                % (len(frame), self.max_frame))
-        plain = pack_batch([frame])
-        record = plain if self.ciphers is None \
-            else self.ciphers.tx.seal(plain)
-        self.sock.sendall(_RECORD_HEADER.pack(len(record)) + record)
+        self.sock.sendall(seal_records(
+            [encode_message(message, self.max_frame)], self.ciphers,
+            self.max_frame))
 
     def recv(self) -> Optional[Dict[str, Any]]:
         """One message; ``None`` on clean EOF; ``socket.timeout``
@@ -260,15 +337,14 @@ class MessageStream:
         while True:
             if self._pending:
                 return self._pending.pop(0)
-            if len(self._buf) >= _RECORD_HEADER.size:
-                (length,) = _RECORD_HEADER.unpack(
-                    bytes(self._buf[:_RECORD_HEADER.size]))
-                self._check_length(length)
-                end = _RECORD_HEADER.size + length
+            if len(self._buf) >= HEADER_SIZE:
+                end = HEADER_SIZE + record_length(
+                    bytes(self._buf[:HEADER_SIZE]), self.max_frame)
                 if len(self._buf) >= end:
-                    record = bytes(self._buf[_RECORD_HEADER.size:end])
+                    record = bytes(self._buf[HEADER_SIZE:end])
                     del self._buf[:end]
-                    self._pending = self._decode(record)
+                    self._pending = open_record(record, self.ciphers,
+                                                self.max_frame)
                     continue
             chunk = self.sock.recv(65536)
             if not chunk:
@@ -276,25 +352,6 @@ class MessageStream:
                     raise ConnectionError("peer closed mid-frame")
                 return None
             self._buf += chunk
-
-    def _check_length(self, length: int) -> None:
-        limit = self.max_frame + _RECORD_SLACK
-        if length > limit:
-            raise ProtocolError(
-                "incoming record claims %d bytes (session max_frame is "
-                "%d); dropping the peer" % (length, self.max_frame))
-
-    def _decode(self, record: bytes) -> list:
-        try:
-            blob = record if self.ciphers is None \
-                else self.ciphers.rx.open(record)
-        except FrameAuthError as exc:
-            raise ProtocolError(str(exc))
-        frames = split_batch(blob, self.max_frame)
-        try:
-            return [wire.decode_frame(frame) for frame in frames]
-        except WireError as exc:
-            raise ProtocolError(str(exc))
 
     def close(self) -> None:
         try:
@@ -340,53 +397,8 @@ def connect_stream(sock: socket.socket, secret: Optional[bytes],
         handshake.verify(confirm)
     except HandshakeError as exc:
         raise AuthError(str(exc))
-    ciphers = handshake.ciphers()
-    if secret is not None and not ciphers.authenticated:
-        # Unreachable while ClientHandshake refuses downgrades, but a
-        # secret-configured client must never ship work over an
-        # unauthenticated session regardless of handshake internals.
-        raise AuthError("handshake completed without authentication "
-                        "despite a configured secret")
-    return MessageStream(sock, ciphers, max_frame=max_frame)
-
-
-# --------------------------------------------------------------------------
-# Plaintext frame helpers (tests/diagnostics over trusted sockets only)
-# --------------------------------------------------------------------------
-
-
-def send_message(sock: socket.socket, message: Dict[str, Any],
-                 max_frame: int = MAX_FRAME) -> None:
-    """Write one *plaintext* v3 frame (no session crypto).
-
-    Real fabric sessions are always encrypted; this exists for tests
-    and local diagnostics over a socketpair.
-    """
-    try:
-        frame = wire.encode_frame(message)
-    except WireError as exc:
-        raise ProtocolError(str(exc))
-    if len(frame) > max_frame:
-        raise ProtocolError("frame of %d bytes exceeds MAX_FRAME (%d)"
-                            % (len(frame), max_frame))
-    sock.sendall(_RECORD_HEADER.pack(len(frame)) + frame)
-
-
-def recv_message(sock: socket.socket,
-                 max_frame: int = MAX_FRAME) -> Optional[Dict[str, Any]]:
-    """Read one *plaintext* v3 frame; ``None`` on clean EOF."""
-    header = _recv_exactly(sock, _RECORD_HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = _RECORD_HEADER.unpack(header)
-    if length > max_frame:
-        raise ProtocolError("incoming frame claims %d bytes "
-                            "(MAX_FRAME is %d)" % (length, max_frame))
-    payload = _recv_exactly(sock, length) if length else b""
-    try:
-        return wire.decode_frame(payload)  # type: ignore[arg-type]
-    except WireError as exc:
-        raise ProtocolError(str(exc))
+    return MessageStream(sock, client_ciphers(handshake, secret),
+                         max_frame=max_frame)
 
 
 def encodable(value: Any) -> Tuple[bool, str]:

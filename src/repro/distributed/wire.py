@@ -28,8 +28,6 @@ type            body
 ``ping/pong``   ``!Q`` heartbeat sequence number
 ``result``      varstr item_id + ``!I`` offset + kpack value
 ``item-done``   varstr item_id + kpack cache-delta/report dict
-``update``      ``!Q`` update seq + varstr cve_id + varbytes payload
-``ack``         ``!Q`` update seq + ``!B`` status + varstr member_id
 (all others)    kpack of the message dict minus its ``type`` key
 ==============  ==========================================================
 
@@ -72,7 +70,6 @@ FRAME_HEADER = struct.Struct("!BBHI")
 _U64 = struct.Struct("!Q")
 _U32 = struct.Struct("!I")
 _F64 = struct.Struct("!d")
-_ACK_HEAD = struct.Struct("!QB")
 
 
 class WireError(ReproError):
@@ -92,13 +89,10 @@ ERROR = "error"
 PING = "ping"
 PONG = "pong"
 SHUTDOWN = "shutdown"
-#: fleet-dispatch plane (coordinator -> member and back)
-UPDATE = "update"
-ACK = "ack"
 
 _TYPE_CODES: Dict[str, int] = {
     HELLO: 1, READY: 2, ITEM: 3, RESULT: 4, ITEM_DONE: 5, ERROR: 6,
-    PING: 7, PONG: 8, SHUTDOWN: 9, UPDATE: 10, ACK: 11,
+    PING: 7, PONG: 8, SHUTDOWN: 9,
 }
 _TYPE_NAMES = {code: name for name, code in _TYPE_CODES.items()}
 
@@ -486,55 +480,6 @@ def _unpack_item_done_body(body: bytes) -> Dict[str, Any]:
     return message
 
 
-def _pack_update_body(message: Dict[str, Any]) -> bytes:
-    seq = message.get("seq") or 0
-    if not isinstance(seq, int) or not 0 <= seq < 1 << 64:
-        raise WireError("update seq %r is not a u64" % (seq,))
-    out = bytearray(_U64.pack(seq))
-    _varstr(out, str(message.get("cve_id") or ""))
-    payload = message.get("payload") or b""
-    if not isinstance(payload, (bytes, bytearray)):
-        raise WireError("update payload must be bytes")
-    _pack_varint(out, len(payload))
-    out += payload
-    return bytes(out)
-
-
-def _unpack_update_body(body: bytes) -> Dict[str, Any]:
-    if len(body) < _U64.size:
-        raise WireError("truncated update body")
-    seq = _U64.unpack_from(body, 0)[0]
-    cve_id, pos = _read_varstr(body, _U64.size)
-    length, pos = _unpack_varint(body, pos)
-    _guard_count(length, body, pos, 1)
-    if pos + length != len(body):
-        raise WireError("update payload length mismatch")
-    return {"seq": seq, "cve_id": cve_id,
-            "payload": body[pos:pos + length]}
-
-
-def _pack_ack_body(message: Dict[str, Any]) -> bytes:
-    seq = message.get("seq") or 0
-    status = message.get("status") or 0
-    if not isinstance(seq, int) or not 0 <= seq < 1 << 64:
-        raise WireError("ack seq %r is not a u64" % (seq,))
-    if not isinstance(status, int) or not 0 <= status < 256:
-        raise WireError("ack status %r is not a u8" % (status,))
-    out = bytearray(_ACK_HEAD.pack(seq, status))
-    _varstr(out, str(message.get("member_id") or ""))
-    return bytes(out)
-
-
-def _unpack_ack_body(body: bytes) -> Dict[str, Any]:
-    if len(body) < _ACK_HEAD.size:
-        raise WireError("truncated ack body")
-    seq, status = _ACK_HEAD.unpack_from(body, 0)
-    member_id, pos = _read_varstr(body, _ACK_HEAD.size)
-    if pos != len(body):
-        raise WireError("trailing bytes after ack body")
-    return {"seq": seq, "status": status, "member_id": member_id}
-
-
 def _pack_generic_body(message: Dict[str, Any]) -> bytes:
     rest = {k: v for k, v in message.items() if k != "type"}
     out = bytearray()
@@ -559,8 +504,6 @@ _BODY_CODECS: Dict[str, Tuple[Callable[[Dict[str, Any]], bytes],
     PONG: (_pack_seq_body, _unpack_seq_body),
     RESULT: (_pack_result_body, _unpack_result_body),
     ITEM_DONE: (_pack_item_done_body, _unpack_item_done_body),
-    UPDATE: (_pack_update_body, _unpack_update_body),
-    ACK: (_pack_ack_body, _unpack_ack_body),
 }
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import reprlib
 import socket
 import time
 import traceback
@@ -78,6 +79,16 @@ def _reset_process_caches() -> None:
     drop_memory_tiers()
     reset_cache_stats()
     kernel_for_version.cache_clear()
+
+
+def _valid_disk_cache(config: Any) -> bool:
+    """``None`` or a ``(root, max_entries)`` pair: a str root and an
+    int bound of at least 1 (the peer's value reaches the cache)."""
+    if config is None:
+        return True
+    return (isinstance(config, (tuple, list)) and len(config) == 2
+            and isinstance(config[0], str)
+            and type(config[1]) is int and config[1] >= 1)
 
 
 class _Session:
@@ -124,9 +135,17 @@ class _Session:
                           % (hello.get("version"),
                              protocol.PROTOCOL_VERSION)})
             return False
+        disk_cache = hello.get("disk_cache")
+        if not _valid_disk_cache(disk_cache):
+            await self._channel.send(
+                {"type": protocol.ERROR, "item_id": None,
+                 "error": "hello field disk_cache must be None or "
+                          "(root, max_entries >= 1), got %s"
+                          % reprlib.repr(disk_cache)})
+            return False
         from repro.compiler.cache import apply_disk_cache_config
 
-        apply_disk_cache_config(hello.get("disk_cache"))
+        apply_disk_cache_config(disk_cache)
         await self._channel.send({"type": protocol.READY,
                                   "version": protocol.PROTOCOL_VERSION,
                                   "pid": os.getpid()})

@@ -328,30 +328,20 @@ def _evaluate_sequential(specs: Sequence[CveSpec], run_stress: bool,
 def _evaluate_parallel(specs: Sequence[CveSpec], run_stress: bool,
                        verify_undo: bool, progress: Optional[ProgressFn],
                        jobs: int, stats: EngineStats,
-                       executor_factory: Optional[Callable] = None,
                        ) -> Optional[List["CveResult"]]:
-    """Fan groups out over worker processes; None means "fall back".
-
-    ``executor_factory(max_workers)`` defaults to
-    ``ProcessPoolExecutor``; anything with the same ``submit`` surface
-    slots in — notably
-    :class:`repro.distributed.DistributedExecutor`, which runs the
-    identical group payloads on remote hosts.
-    """
+    """Fan groups out over worker processes; None means "fall back"."""
     try:
         pickle.dumps(list(specs))
     except Exception:
         stats.fallback_reason = "unpicklable specs"
         return None  # e.g. a test spec with a lambda probe
 
-    if executor_factory is None:
-        def executor_factory(max_workers: int) -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(max_workers=max_workers)
     groups = _group_by_version(specs)
     stats.groups = len(groups)
     results: List[Optional["CveResult"]] = [None] * len(specs)
     try:
-        with executor_factory(min(jobs, len(groups))) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, len(groups))) as pool:
             futures = {}
             disk_root = active_disk_root()
             for version, indices in groups:

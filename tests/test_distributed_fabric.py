@@ -11,14 +11,12 @@ and survival of worker crashes via bounded retry and local rescue.
 import socket
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from repro.compiler.cache import CacheStats, merge_stats_into
 from repro.distributed import (
     Coordinator,
-    DistributedExecutor,
     ProtocolError,
     parse_address,
     protocol,
@@ -30,12 +28,7 @@ from repro.evaluation import (
     evaluate_corpus,
     normalize_result,
 )
-from repro.evaluation.engine import (
-    EngineStats,
-    _evaluate_group,
-    _evaluate_parallel,
-    _group_by_version,
-)
+from repro.evaluation.engine import EngineStats, _group_by_version
 
 
 @pytest.fixture(autouse=True)
@@ -73,11 +66,11 @@ def test_message_roundtrip_over_socketpair():
     left, right = socket.socketpair()
     try:
         message = {"type": "item", "specs": [1, 2, 3], "blob": b"x" * 1000}
-        protocol.send_message(left, message)
-        received = protocol.recv_message(right)
-        assert received == message
+        protocol.MessageStream(left).send(message)
+        receiver = protocol.MessageStream(right)
+        assert receiver.recv() == message
         left.close()
-        assert protocol.recv_message(right) is None  # clean EOF
+        assert receiver.recv() is None  # clean EOF
     finally:
         right.close()
 
@@ -120,13 +113,55 @@ def test_message_stream_survives_timeout_mid_frame():
 
 def test_parse_address_validation():
     assert parse_address("10.0.0.1:5000") == ("10.0.0.1", 5000)
-    assert parse_address("[::1]:80") == ("[::1]", 80)
-    for bad in ("nocolon", ":5000", "host:", "host:abc", "host:70000"):
+    assert parse_address("[::1]:80") == ("::1", 80)
+    for bad in ("nocolon", ":5000", "host:", "host:abc", "host:70000",
+                "[::1:80", "::1]:80", "[]:80", "[[::1]]:80"):
         with pytest.raises(ProtocolError):
             parse_address(bad)
     with pytest.raises(ProtocolError):
         parse_address("host:0")
     assert parse_address("host:0", allow_zero=True) == ("host", 0)
+
+
+def _has_ipv6_loopback():
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_ipv6_loopback(),
+                    reason="host has no IPv6 loopback")
+def test_bracketed_ipv6_address_connects():
+    """The parsed ``[::1]:port`` is an address ``getaddrinfo`` accepts:
+    a v3 session runs over it to a ``::1`` listener."""
+    received = {}
+
+    def fake_worker(listener):
+        sock, _ = listener.accept()
+        with sock:
+            stream = protocol.accept_stream(sock, None)
+            received["message"] = stream.recv()
+
+    listener = socket.socket(socket.AF_INET6)
+    listener.bind(("::1", 0))
+    listener.listen(1)
+    thread = threading.Thread(target=fake_worker, args=(listener,),
+                              daemon=True)
+    thread.start()
+    try:
+        address = "[::1]:%d" % listener.getsockname()[1]
+        with socket.create_connection(parse_address(address),
+                                      timeout=10.0) as sock:
+            protocol.connect_stream(sock, None).send(
+                {"type": protocol.SHUTDOWN})
+        thread.join(timeout=10.0)
+    finally:
+        listener.close()
+    assert not thread.is_alive()
+    assert received["message"] == {"type": protocol.SHUTDOWN}
 
 
 def test_version_mismatch_rejected_at_handshake():
@@ -309,30 +344,36 @@ def test_bad_worker_address_falls_back():
     assert len(report.results) == 2
 
 
-# -- the ProcessPoolExecutor-shaped surface ---------------------------------
+# -- sessions driven directly over connect_stream --------------------------
 
 
-def test_executor_slots_into_evaluate_parallel(sequential_results):
-    """DistributedExecutor fills ProcessPoolExecutor's contract, so the
-    engine's local parallel path runs unchanged against remote hosts."""
-    specs = _slice()
-    workers = spawn_local_workers(2)
-    stats = EngineStats()
+def _open_session(worker, disk_cache=None):
+    sock = socket.create_connection((worker.host, worker.port),
+                                    timeout=120.0)
+    stream = protocol.connect_stream(sock, None)
+    stream.send({"type": protocol.HELLO,
+                 "version": protocol.PROTOCOL_VERSION,
+                 "disk_cache": disk_cache})
+    return stream
+
+
+def _run_one_item(worker, version, spec):
+    """One ``item`` on its own session; returns its cache delta."""
+    stream = _open_session(worker)
     try:
-        results = _evaluate_parallel(
-            specs, False, False, None, 4, stats,
-            executor_factory=lambda n: DistributedExecutor(
-                [w.address for w in workers]))
+        assert stream.recv()["type"] == protocol.READY
+        stream.send({"type": protocol.ITEM, "item_id": "i0",
+                     "version": version, "specs": [spec],
+                     "run_stress": False, "verify_undo": False})
+        while True:
+            message = stream.recv()
+            assert message is not None
+            assert message["type"] != protocol.ERROR, message["error"]
+            if message["type"] == protocol.ITEM_DONE:
+                stream.send({"type": protocol.SHUTDOWN})
+                return message["cache_delta"]
     finally:
-        for worker in workers:
-            worker.stop()
-    assert results is not None
-    assert [normalize_result(r) for r in results] == sequential_results
-
-
-def test_executor_with_no_workers_raises_broken_executor():
-    with pytest.raises(BrokenExecutor):
-        DistributedExecutor(["127.0.0.1:9"])
+        stream.close()
 
 
 def test_cache_delta_merge_across_two_workers_overlapping_keys():
@@ -344,12 +385,8 @@ def test_cache_delta_merge_across_two_workers_overlapping_keys():
     assert len(same_version) == 2
     workers = spawn_local_workers(2)
     try:
-        with DistributedExecutor([w.address for w in workers]) as pool:
-            futures = [
-                pool.submit(_evaluate_group,
-                            (version, [spec], False, False, None))
-                for spec in same_version]  # round-robin: one per worker
-            deltas = [f.result()[1] for f in futures]
+        deltas = [_run_one_item(worker, version, spec)
+                  for worker, spec in zip(workers, same_version)]
     finally:
         for worker in workers:
             worker.stop()
@@ -365,6 +402,35 @@ def test_cache_delta_merge_across_two_workers_overlapping_keys():
     for name in merged:
         assert merged[name].hits == sum(d[name].hits for d in deltas)
         assert merged[name].misses == sum(d[name].misses for d in deltas)
+
+
+def test_malformed_hello_disk_cache_is_refused_with_error_frame():
+    """The worker checks the peer's ``disk_cache`` before it reaches the
+    cache: a bad value earns an ``error`` frame naming the field and a
+    close, and the same worker then serves a well-formed session."""
+    workers = spawn_local_workers(1)
+    try:
+        for bad in ("xyz", ["/tmp/a", 1, 2], 7, ("/tmp/x", "many"),
+                    ("/tmp/x", 0), ("/tmp/x", True), (7, 8)):
+            stream = _open_session(workers[0], disk_cache=bad)
+            try:
+                reply = stream.recv()
+                assert reply["type"] == protocol.ERROR, (bad, reply)
+                assert reply["item_id"] is None
+                assert "disk_cache" in reply["error"]
+                assert stream.recv() is None  # then the worker closes
+            finally:
+                stream.close()
+        stream = _open_session(workers[0])
+        try:
+            assert stream.recv()["type"] == protocol.READY
+            stream.send({"type": protocol.PING, "seq": 5})
+            assert stream.recv() == {"type": protocol.PONG, "seq": 5}
+            stream.send({"type": protocol.SHUTDOWN})
+        finally:
+            stream.close()
+    finally:
+        workers[0].stop()
 
 
 def test_merge_stats_into_overlapping_names_pure():

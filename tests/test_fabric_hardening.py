@@ -1,6 +1,8 @@
 """Tests for the hardened fabric: shared-secret handshake auth,
-per-item wall-clock timeouts, and remote fleet rollouts."""
+per-item wall-clock timeouts, send-queue backpressure, and remote
+fleet rollouts."""
 
+import asyncio
 import socket
 
 import pytest
@@ -260,6 +262,59 @@ def test_oversize_frame_drops_peer_post_handshake():
     finally:
         left.close()
         right.close()
+
+
+# -- backpressure ------------------------------------------------------------
+
+
+def test_async_channel_backpressure_bounds_queue(monkeypatch):
+    """A producer outrunning a stalled peer parks on the bounded send
+    queue instead of buffering unboundedly."""
+    from repro.distributed import aio
+
+    monkeypatch.setattr(aio, "SEND_QUEUE_SIZE", 2)
+    # The stalled peer's reader task stops pulling records off the
+    # socket once its receive queue is full; at the default bound (256
+    # frames) the count below measured loopback throughput, not the
+    # send queue's bound.
+    monkeypatch.setattr(aio, "RECV_QUEUE_SIZE", 2)
+
+    async def scenario():
+        server_ready = asyncio.Event()
+        port_holder = {}
+        parked = {"count": 0}
+
+        async def handle(reader, writer):
+            channel = await aio.accept_channel(reader, writer, SECRET)
+            port_holder["server_channel"] = channel
+            server_ready.set()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        client = await aio.connect_channel(host, port, SECRET)
+        await server_ready.wait()
+        # The client never calls recv(); its reader task parks on the
+        # full receive queue, the server's writer drains into the
+        # socket until TCP buffers fill, then its queue (bound 2)
+        # fills, then send() parks.  Pushing a big payload many times
+        # must eventually time out rather than buffer forever.
+        big = {"type": "item", "blob": b"x" * 1_000_000}
+        sender = port_holder["server_channel"]
+
+        async def flood():
+            while True:
+                await sender.send(big)
+                parked["count"] += 1
+
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(flood(), 2.0)
+        assert parked["count"] < 200  # bounded, not unbounded buffering
+        await client.close()
+        await sender.close()
+        server.close()
+        await server.wait_closed()
+
+    asyncio.run(scenario())
 
 
 # -- per-item wall-clock timeout ---------------------------------------------

@@ -25,6 +25,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis ships in the image
     pytest.skip("hypothesis unavailable", allow_module_level=True)
 
+from repro.compiler.cache import CacheStats
 from repro.distributed import protocol, wire
 from repro.distributed.crypto import (
     FrameAuthError,
@@ -86,22 +87,42 @@ def test_frame_roundtrip_identity(message):
     assert wire.decode_frame(wire.encode_frame(message)) == message
 
 
-@given(st.integers(min_value=0, max_value=2 ** 63 - 1),
-       _text.filter(lambda t: "\x00" not in t),
-       st.binary(max_size=300))
-def test_update_frame_roundtrip(seq, cve_id, payload):
-    message = {"type": protocol.UPDATE, "seq": seq,
-               "cve_id": cve_id, "payload": payload}
+_counts = st.integers(min_value=0, max_value=2 ** 40)
+
+_struct_bodies = st.one_of(
+    st.builds(lambda kind, seq: {"type": kind, "seq": seq},
+              st.sampled_from([protocol.PING, protocol.PONG]),
+              st.integers(min_value=0, max_value=2 ** 64 - 1)),
+    st.builds(lambda item_id, offset, key, value: {
+        "type": protocol.RESULT, "item_id": item_id, "offset": offset,
+        key: value},
+        _text, st.integers(min_value=0, max_value=2 ** 32 - 1),
+        st.sampled_from(["wave", "result"]), _values),
+    st.builds(lambda item_id, extra: dict(
+        extra, type=protocol.ITEM_DONE, item_id=item_id),
+        _text, st.fixed_dictionaries({}, optional={
+            "cache_delta": st.dictionaries(
+                _text, st.builds(CacheStats, _counts, _counts, _counts,
+                                 _counts, _counts), max_size=3),
+            "report": _values})),
+)
+
+
+@given(_struct_bodies)
+@settings(max_examples=200)
+def test_struct_packed_frame_roundtrip(message):
+    """``ping``/``pong``, ``result`` and ``item-done`` have their own
+    struct-packed bodies (not the generic kpack dict)."""
     assert wire.decode_frame(wire.encode_frame(message)) == message
 
 
-@given(st.integers(min_value=0, max_value=2 ** 63 - 1),
-       st.integers(min_value=0, max_value=255),
-       _text)
-def test_ack_frame_roundtrip(seq, status, member_id):
-    message = {"type": protocol.ACK, "seq": seq, "status": status,
-               "member_id": member_id}
-    assert wire.decode_frame(wire.encode_frame(message)) == message
+@pytest.mark.parametrize("code", [10, 11])
+def test_unassigned_frame_type_codes_are_wire_errors(code):
+    """Codes past ``shutdown`` (9) name no frame type."""
+    frame = bytearray(wire.encode_frame({"type": "shutdown"}))
+    frame[1] = code
+    with pytest.raises(WireError, match="unknown frame type code"):
+        wire.decode_frame(bytes(frame))
 
 
 def test_registered_object_roundtrip():
@@ -216,6 +237,31 @@ def test_replayed_record_is_rejected():
     assert worker.rx.open(record) == b"only once"
     with pytest.raises(FrameAuthError):
         worker.rx.open(record)
+
+
+@given(st.integers(min_value=60, max_value=600),
+       st.integers(min_value=320, max_value=4096), st.booleans())
+@settings(max_examples=50)
+def test_sealed_burst_splits_within_the_record_bound(count, max_frame,
+                                                     sealed):
+    """``seal_records`` cuts a burst too big for one record (at least
+    6 KiB of frames, over any ``max_frame`` drawn plus its slack) into
+    records that each pass ``record_length`` and open, in order, back
+    to the same messages."""
+    messages = [{"type": "item", "blob": bytes([i % 256]) * (100 + i % 200)}
+                for i in range(count)]
+    client, worker = _pair() if sealed else (None, None)
+    stream = protocol.seal_records(
+        [protocol.encode_message(m, max_frame) for m in messages],
+        client, max_frame)
+    received, pos = [], 0
+    while pos < len(stream):
+        body = pos + protocol.HEADER_SIZE
+        end = body + protocol.record_length(stream[pos:body], max_frame)
+        received += protocol.open_record(stream[body:end], worker,
+                                         max_frame)
+        pos = end
+    assert received == messages
 
 
 # -- version fencing ---------------------------------------------------------
