@@ -7,7 +7,8 @@ over HTTP, publish over HTTP, poll ``GET /rollouts/<id>`` until the
 record leaves ``running``).  Also measured: how quickly the first
 canary wave becomes visible to a poller — the lag an operator watching
 ``repro channel publish`` actually feels — and how long a daemon
-restart takes to recover the registry from disk.
+restart takes to replay the store's journal and serve the registry
+and the finished rollout again.
 
 Run directly:
 

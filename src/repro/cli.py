@@ -908,9 +908,10 @@ def cmd_channel(args: argparse.Namespace) -> int:
                   % (status["name"],
                      status.get("kernel_version") or "unpinned"))
             for entry in status.get("entries", []):
-                print("  #%-3d %-16s %s"
+                print("  #%-3d %-16s %s%s"
                       % (entry["sequence"], entry.get("cve_id", "?"),
-                         entry.get("description", "")))
+                         "(withdrawn) " if entry.get("withdrawn")
+                         else "", entry.get("description", "")))
             for sub in status.get("subscribers", []):
                 flags = [f for f in ("pinned", "quarantined")
                          if sub.get(f)]

@@ -5,9 +5,10 @@ in-process model (:mod:`repro.core.distribution`) runs one subscriber
 at a time and dies with the process.  This package turns it into a
 long-running coordinator:
 
-* :mod:`~repro.controlplane.store` — durable atomic JSON-on-disk state
-  (fleet registry, release channels, rollout records) that survives a
-  killed-and-restarted daemon;
+* :mod:`~repro.controlplane.store` — durable state (fleet registry,
+  release channels, rollout records) in one fsynced append-only
+  journal, replayed into in-memory indexes when a restarted daemon
+  opens it;
 * :mod:`~repro.controlplane.model` — :class:`Member`,
   :class:`RolloutRecord`, and the typed error family;
 * :mod:`~repro.controlplane.service` — publish-to-channel drives the

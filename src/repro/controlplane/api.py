@@ -26,8 +26,12 @@ GET         /rollouts/<id>                     live progress / report
 
 ``POST .../publish`` answers ``202`` with the new rollout's id right
 away; the rollout runs on a daemon thread and ``GET /rollouts/<id>``
-streams its wave-by-wave progress (the record is flushed to disk after
-every wave, so progress survives a daemon crash too).
+streams its wave-by-wave progress (each closed wave is an fsynced
+journal append, so progress survives a daemon crash too).
+
+Request bodies are type-checked: ``force`` must be a JSON boolean,
+``canary`` and ``growth`` JSON integers >= 1, and every other field a
+JSON string; anything else answers 400 naming the field.
 """
 
 from __future__ import annotations
@@ -47,6 +51,25 @@ from repro.controlplane.store import ControlPlaneStore
 
 #: the daemon's default port
 DEFAULT_PORT = 7787
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "an array", dict: "an object",
+               type(None): "null"}
+
+
+def _field(body: Dict[str, Any], name: str, default: Any) -> Any:
+    """``body[name]`` (or ``default``), refused unless it has the
+    default's JSON type; integers must also be >= 1."""
+    value = body.get(name, default)
+    wanted = type(default)
+    if type(value) is not wanted:
+        raise ControlPlaneError("field %r must be %s, not %s"
+                                % (name, _JSON_TYPES[wanted],
+                                   _JSON_TYPES[type(value)]))
+    if wanted is int and value < 1:
+        raise ControlPlaneError("field %r must be an integer >= 1, "
+                                "not %d" % (name, value))
+    return value
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -142,10 +165,10 @@ class _Handler(BaseHTTPRequestHandler):
         if segments == ["members"]:
             body = self._body()
             member = service.register_member(
-                member_id=str(body.get("member_id", "")),
-                kernel_version=str(body.get("kernel_version", "")),
-                channel=str(body.get("channel", "stable")),
-                worker=str(body.get("worker", "")))
+                member_id=_field(body, "member_id", ""),
+                kernel_version=_field(body, "kernel_version", ""),
+                channel=_field(body, "channel", "stable"),
+                worker=_field(body, "worker", ""))
             self._reply(201, member.to_json_dict())
         elif (len(segments) == 3 and segments[0] == "members"
               and segments[2] in ("pin", "unpin", "quarantine",
@@ -154,21 +177,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, member.to_json_dict())
         elif segments == ["channels"]:
             body = self._body()
-            channel = service.create_channel(
-                str(body.get("name", "")))
+            channel = service.create_channel(_field(body, "name", ""))
             self._reply(201, channel)
         elif (len(segments) == 3 and segments[0] == "channels"
               and segments[2] == "publish"):
             body = self._body()
-            cve_id = str(body.get("cve_id", ""))
+            cve_id = _field(body, "cve_id", "")
             if not cve_id:
                 raise ControlPlaneError("publish needs a cve_id")
             record = service.publish(
                 segments[1], cve_id,
-                description=str(body.get("description", "")),
-                canary=int(body.get("canary", 1)),
-                growth=int(body.get("growth", 2)),
-                force=bool(body.get("force", False)))
+                description=_field(body, "description", ""),
+                canary=_field(body, "canary", 1),
+                growth=_field(body, "growth", 2),
+                force=_field(body, "force", False))
             self._reply(202, record.to_json_dict())
         else:
             self._reply(404, {"error": "no route POST /%s"

@@ -1,7 +1,7 @@
 """Data model for the update-channel control plane.
 
 The control plane's durable state is three collections of plain JSON
-documents (see :mod:`repro.controlplane.store`):
+documents, kept in one journal (see :mod:`repro.controlplane.store`):
 
 * **members** — one :class:`Member` per registered machine: identity,
   kernel version, the channel it subscribes to, its applied update
@@ -11,7 +11,8 @@ documents (see :mod:`repro.controlplane.store`):
   ``nightly`` exist out of the box) holding an ordered series of
   published entries, each stamped with ``sequence`` and
   ``base_sequence`` so the §5.4 stacking discipline is explicit in the
-  store, not implicit in publish order;
+  store, not implicit in publish order (an entry whose publish never
+  finished is marked ``withdrawn`` and nothing stacks on it);
 * **rollouts** — one :class:`RolloutRecord` per publish: which members
   were targeted (and which were skipped, with reasons), every canary
   wave streamed in as it closes, and the final
@@ -23,6 +24,7 @@ analyzer reports do; nothing here holds wall-clock fields.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -43,6 +45,9 @@ ROLLOUT_INTERRUPTED = "interrupted"
 #: how many health-history entries a member record keeps
 HEALTH_HISTORY_LIMIT = 20
 
+#: channel names and member ids: each must be one URL path segment
+NAME_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+
 
 class ControlPlaneError(ReproError):
     """The control plane refused an operation (bad input, bad state)."""
@@ -61,7 +66,21 @@ class UnknownRolloutError(ControlPlaneError):
 
 
 class StoreCorruptError(ControlPlaneError):
-    """A durable store document exists but cannot be parsed."""
+    """The store's journal holds a record that fails its checks."""
+
+
+def check_name(what: str, name: str) -> None:
+    """Refuse a channel name or member id that is not
+    ``[A-Za-z0-9._-]+`` or that starts with a dot."""
+    if not NAME_PATTERN.fullmatch(name):
+        raise ControlPlaneError(
+            "%s %r must match [A-Za-z0-9._-]+ and not start with a dot"
+            % (what, name))
+
+
+def rollout_id_for(channel: str, sequence: int) -> str:
+    """The id of the rollout that delivers a channel's entry."""
+    return "%s-%04d" % (channel, sequence)
 
 
 @dataclass

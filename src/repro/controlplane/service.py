@@ -21,10 +21,16 @@ worker, the whole rollout ships there as a ``fleet-rollout`` item
 (:func:`repro.fleet.remote.run_remote_rollout`) and the worker streams
 wave frames back into the same record.
 
-Restart recovery is structural: the service holds no state outside the
-store, and :meth:`recover` (called at boot) marks any rollout the dead
-daemon left ``running`` as ``interrupted`` — its streamed waves stay
-readable.
+A publish is a short sequence of journal records: the channel entry,
+the rollout record, one record per closed wave, then one batch holding
+the final record together with the members' absorption.  Restart
+recovery follows from that: the service holds no state outside the
+store, and :meth:`recover` (called at boot) closes every publish the
+dead daemon left unfinished — its rollout record missing or still
+``running`` — by marking the rollout ``interrupted`` (its streamed
+waves stay readable) and withdrawing its entry, which no member can
+hold.  The next publish then stacks on the newest entry members really
+hold, so a crash at any write never wedges a channel.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from repro.controlplane.model import (
     ControlPlaneError,
     Member,
     RolloutRecord,
+    check_name,
+    rollout_id_for,
 )
 from repro.controlplane.store import ControlPlaneStore
 
@@ -51,54 +59,76 @@ class ControlPlaneService:
 
     def __init__(self, store: Optional[ControlPlaneStore] = None):
         self.store = store if store is not None else ControlPlaneStore()
-        self._publish_lock = threading.Lock()
+        #: held across each read-modify-write of member records
+        self._registry_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self.recover()
 
     # -- restart recovery --------------------------------------------------
 
     def recover(self) -> List[str]:
-        """Mark rollouts the previous daemon left mid-flight."""
-        interrupted = []
-        for record in self.store.rollouts():
-            if record.status == ROLLOUT_RUNNING:
-                record.status = ROLLOUT_INTERRUPTED
-                record.detail = ("daemon restarted mid-rollout; %d "
-                                 "wave(s) had completed"
-                                 % len(record.waves))
-                self.store.save_rollout(record)
-                interrupted.append(record.rollout_id)
-        return interrupted
+        """Close every publish the previous daemon left unfinished.
+
+        A rollout record still ``running``, or a live channel entry
+        with no rollout record at all, belongs to a publish whose final
+        batch never landed, so no member holds its entry.  Each is
+        closed with one batch that marks the rollout ``interrupted``
+        and withdraws the entry.  Returns the interrupted rollout ids.
+        """
+        records = self.store.rollouts()
+        unfinished = [r for r in records if r.status == ROLLOUT_RUNNING]
+        recorded = {(r.channel, r.sequence) for r in records}
+        live = set()
+        for name in self.store.channels.names():
+            for entry in self.store.channels.entries(name):
+                if entry.get("withdrawn"):
+                    continue
+                sequence = entry["sequence"]
+                live.add((name, sequence))
+                if (name, sequence) not in recorded:
+                    unfinished.append(RolloutRecord(
+                        rollout_id=rollout_id_for(name, sequence),
+                        channel=name, cve_id=entry.get("cve_id", ""),
+                        sequence=sequence))
+        for record in unfinished:
+            record.status = ROLLOUT_INTERRUPTED
+            record.detail = ("daemon restarted mid-rollout; %d wave(s) "
+                             "had completed" % len(record.waves))
+            if (record.channel, record.sequence) in live:
+                record.detail += "; entry #%d withdrawn" % record.sequence
+            self.store.withdraw(record)
+        return [record.rollout_id for record in unfinished]
 
     # -- registry ----------------------------------------------------------
 
     def register_member(self, member_id: str, kernel_version: str,
                         channel: str = "stable",
                         worker: str = "") -> Member:
-        if not member_id:
-            raise ControlPlaneError("member_id must be non-empty")
+        check_name("member id", member_id)
         if not kernel_version:
             raise ControlPlaneError("kernel_version must be non-empty")
-        self.store.channels.get(channel)  # raises UnknownChannelError
-        try:
-            member = self.store.get_member(member_id)
-        except ControlPlaneError:
-            member = Member(member_id=member_id,
-                            kernel_version=kernel_version,
-                            channel=channel, worker=worker)
-        else:
-            # re-registration refreshes identity facts, keeps history
-            member.kernel_version = kernel_version
-            member.channel = channel
-            member.worker = worker
-        self.store.save_member(member)
+        self.store.channels.header(channel)  # raises UnknownChannelError
+        with self._registry_lock:
+            try:
+                member = self.store.get_member(member_id)
+            except ControlPlaneError:
+                member = Member(member_id=member_id,
+                                kernel_version=kernel_version,
+                                channel=channel, worker=worker)
+            else:
+                # re-registration refreshes identity facts, keeps history
+                member.kernel_version = kernel_version
+                member.channel = channel
+                member.worker = worker
+            self.store.save_member(member)
         return member
 
     def _set_flag(self, member_id: str, flag: str,
                   value: bool) -> Member:
-        member = self.store.get_member(member_id)
-        setattr(member, flag, value)
-        self.store.save_member(member)
+        with self._registry_lock:
+            member = self.store.get_member(member_id)
+            setattr(member, flag, value)
+            self.store.save_member(member)
         return member
 
     def pin(self, member_id: str) -> Member:
@@ -116,22 +146,20 @@ class ControlPlaneService:
     # -- channels ----------------------------------------------------------
 
     def create_channel(self, name: str) -> Dict[str, Any]:
-        if not name:
-            raise ControlPlaneError("channel name must be non-empty")
+        check_name("channel name", name)
         return self.store.channels.ensure_channel(name)
 
     def channel_status(self, name: str) -> Dict[str, Any]:
         """One channel with its series, subscribers, and rollouts."""
         channel = self.store.channels.get(name)
+        latest = self.store.channels.latest_sequence(name)
         subscribers = [
             {"member_id": m.member_id,
              "applied_sequence": m.applied_sequence,
              "pinned": m.pinned, "quarantined": m.quarantined,
-             "current": m.applied_sequence >= self.store.channels
-             .latest_sequence(name)}
-            for m in self.store.members() if m.channel == name]
-        rollouts = [r.summary() for r in self.store.rollouts()
-                    if r.channel == name]
+             "current": m.applied_sequence >= latest}
+            for m in self.store.members(name)]
+        rollouts = [r.summary() for r in self.store.rollouts(name)]
         # entries minus bulky payloads (update packs stay in the store)
         entries = [{k: v for k, v in entry.items()
                     if k not in ("pack_b64", "resulting_tree")}
@@ -166,7 +194,7 @@ class ControlPlaneService:
         """
         from repro.evaluation.corpus import corpus_by_id
 
-        channel = self.store.channels.get(channel_name)
+        channel = self.store.channels.header(channel_name)
         try:
             spec = corpus_by_id(cve_id)
         except KeyError:
@@ -178,19 +206,16 @@ class ControlPlaneService:
                 % (channel_name, pinned_version, cve_id,
                    spec.kernel_version))
         bundle, forced = self._publish_gate(spec, force)
-        with self._publish_lock:
-            if not pinned_version:
-                self.store.channels.set_kernel_version(
-                    channel_name, spec.kernel_version)
-            entry = self.store.channels.append_entry(channel_name, {
-                "cve_id": cve_id,
-                "description": description or spec.description,
-                "kernel_version": spec.kernel_version,
-            })
+        # an unpinned channel adopts the entry's kernel version
+        entry = self.store.channels.append_entry(channel_name, {
+            "cve_id": cve_id,
+            "description": description or spec.description,
+            "kernel_version": spec.kernel_version,
+        })
         eligible, skipped = self._eligible_members(
             channel_name, spec.kernel_version, entry)
         record = RolloutRecord(
-            rollout_id="%s-%04d" % (channel_name, entry["sequence"]),
+            rollout_id=rollout_id_for(channel_name, entry["sequence"]),
             channel=channel_name, cve_id=cve_id,
             sequence=entry["sequence"],
             member_ids=[m.member_id for m in eligible],
@@ -280,9 +305,7 @@ class ControlPlaneService:
             skipped.append({"member_id": member.member_id,
                             "reason": reason})
 
-        for member in self.store.members():
-            if member.channel != channel_name:
-                continue
+        for member in self.store.members(channel_name):
             if member.quarantined:
                 skip(member, "quarantined")
             elif member.pinned:
@@ -353,12 +376,12 @@ class ControlPlaneService:
             OUTCOME_GATED: ROLLOUT_GATED,
         }.get(report.outcome, report.outcome)
         record.detail = report.gate_detail
-        self.store.save_rollout(record)
         self._absorb_report(record, entry, report)
 
     def _absorb_report(self, record: RolloutRecord,
                        entry: Dict[str, Any], report: Any) -> None:
-        """Fold the rollout's outcome back into the registry."""
+        """Fold the rollout's outcome back into the registry, in the
+        same batch as the final rollout record."""
         member_ids = record.member_ids
         updated = {member_ids[i] for i in report.updated_members
                    if 0 <= i < len(member_ids)}
@@ -375,30 +398,31 @@ class ControlPlaneService:
                         "rolled_back": member_report.rolled_back,
                     }
         changed: List[Member] = []
-        for member_id in member_ids:
-            member = self.store.get_member(member_id)
-            member.rollouts_seen += 1
-            outcome = outcomes.get(member_id, {})
-            member.record_health({
-                "rollout_id": record.rollout_id,
-                "outcome": outcome.get("outcome", "untouched"),
-                "healthy": member_id in updated,
-                "detail": outcome.get("detail", ""),
-            })
-            if member_id in updated:
-                member.applied_sequence = entry["sequence"]
-                member.applied_updates.append({
-                    "sequence": entry["sequence"],
-                    "cve_id": record.cve_id,
-                    "channel": record.channel,
+        with self._registry_lock:
+            for member_id in member_ids:
+                member = self.store.get_member(member_id)
+                member.rollouts_seen += 1
+                outcome = outcomes.get(member_id, {})
+                member.record_health({
                     "rollout_id": record.rollout_id,
+                    "outcome": outcome.get("outcome", "untouched"),
+                    "healthy": member_id in updated,
+                    "detail": outcome.get("detail", ""),
                 })
-            if member_id in lost:
-                # a lost member needs operator attention before it can
-                # take traffic (or updates) again
-                member.quarantined = True
-            changed.append(member)
-        self.store.update_members(changed)
+                if member_id in updated:
+                    member.applied_sequence = entry["sequence"]
+                    member.applied_updates.append({
+                        "sequence": entry["sequence"],
+                        "cve_id": record.cve_id,
+                        "channel": record.channel,
+                        "rollout_id": record.rollout_id,
+                    })
+                if member_id in lost:
+                    # a lost member needs operator attention before it can
+                    # take traffic (or updates) again
+                    member.quarantined = True
+                changed.append(member)
+            self.store.update_members(changed, rollout=record)
 
     # -- queries -----------------------------------------------------------
 

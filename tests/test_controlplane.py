@@ -60,10 +60,28 @@ def test_store_survives_reopen(tmp_path):
 
 
 def test_store_corruption_is_a_typed_error(tmp_path):
-    ControlPlaneStore(str(tmp_path))  # builds the on-disk layout
-    (tmp_path / "registry.json").write_text("{ torn write")
-    with pytest.raises(StoreCorruptError):
-        ControlPlaneStore(str(tmp_path)).members()
+    """A torn last journal line (a crash mid-append) is dropped with
+    every earlier write intact; a flipped byte in an earlier record is
+    a typed refusal, not a traceback."""
+    service = make_service(tmp_path, ["web-00", "web-01"])
+    service.quarantine("web-01")
+    journal = tmp_path / "journal.log"
+    intact = journal.read_bytes()
+    last = intact.splitlines(keepends=True)[-1]
+
+    journal.write_bytes(intact + last[:len(last) // 2])
+    revived = ControlPlaneStore(str(tmp_path))
+    assert [m.member_id for m in revived.members()] == ["web-00",
+                                                        "web-01"]
+    assert revived.get_member("web-01").quarantined
+    # the torn tail is cut off, so the next append starts a clean line
+    assert journal.read_bytes() == intact
+
+    damaged = bytearray(intact)
+    damaged[intact.index(b"web-00")] ^= 0x01
+    journal.write_bytes(bytes(damaged))
+    with pytest.raises(StoreCorruptError, match="record"):
+        ControlPlaneStore(str(tmp_path))
 
 
 def test_channel_store_stamps_the_sequence_chain(tmp_path):
@@ -340,6 +358,89 @@ def test_http_error_statuses(daemon):
     with pytest.raises(ControlPlaneClientError) as excinfo:
         client._request("GET", "/no/such/route")
     assert excinfo.value.status == 404
+
+
+#: one ill-typed field per case: (route, body, the field named in 400)
+ILL_TYPED = [
+    ("/channels/canary/publish", {"cve_id": CVE, "force": "false"},
+     "force"),
+    ("/channels/canary/publish", {"cve_id": CVE, "canary": "abc"},
+     "canary"),
+    ("/channels/canary/publish", {"cve_id": CVE, "growth": True},
+     "growth"),
+    ("/channels/canary/publish", {"cve_id": 2451}, "cve_id"),
+    ("/channels/canary/publish", {"cve_id": CVE, "description": 5},
+     "description"),
+    ("/members", {"member_id": 7, "kernel_version": KERNEL},
+     "member_id"),
+    ("/members", {"member_id": "web-00", "kernel_version": 2.6},
+     "kernel_version"),
+    ("/members", {"member_id": "web-00", "kernel_version": KERNEL,
+                  "channel": ["canary"]}, "channel"),
+    ("/members", {"member_id": "web-00", "kernel_version": KERNEL,
+                  "worker": None}, "worker"),
+    ("/channels", {"name": {"hotfix": 1}}, "name"),
+]
+
+
+@pytest.mark.parametrize("route,body,field", ILL_TYPED,
+                         ids=[field for _, _, field in ILL_TYPED])
+def test_http_ill_typed_field_is_a_400_naming_it(daemon, route, body,
+                                                 field):
+    client = ControlPlaneClient(daemon.url)
+    client.register_member("web-00", KERNEL, channel="canary")
+    with pytest.raises(ControlPlaneClientError) as excinfo:
+        client._request("POST", route, body)
+    assert excinfo.value.status == 400
+    assert "field %r" % field in str(excinfo.value)
+    # nothing was published, registered or created
+    assert client.rollouts() == []
+    assert [m["member_id"] for m in client.members()] == ["web-00"]
+    assert len(client.channels()) == 3
+
+
+def test_http_counts_must_be_positive_integers(daemon):
+    client = ControlPlaneClient(daemon.url)
+    for value in (0, -1, 1.5, False):
+        with pytest.raises(ControlPlaneClientError, match="'canary'") \
+                as excinfo:
+            client.publish("canary", CVE, canary=value)
+        assert excinfo.value.status == 400
+    with pytest.raises(ControlPlaneClientError, match="'force'"):
+        client.publish("canary", CVE, force=1)
+
+
+@pytest.mark.parametrize("name", ["a/b", "../../x", ".hidden", "",
+                                  "a b", "x?y", "tab\t"])
+def test_http_unaddressable_names_are_refused(daemon, name):
+    client = ControlPlaneClient(daemon.url)
+    with pytest.raises(ControlPlaneClientError) as excinfo:
+        client.create_channel(name)
+    assert excinfo.value.status == 400
+    with pytest.raises(ControlPlaneClientError) as excinfo:
+        client.register_member(name, KERNEL, channel="canary")
+    assert excinfo.value.status == 400
+    assert {c["name"] for c in client.channels()} == {
+        "stable", "canary", "nightly"}
+    assert client.members() == []
+
+
+def test_names_in_use_stay_valid(tmp_path):
+    service = make_service(tmp_path)
+    for name in ("stable", "canary", "hotfix", KERNEL):
+        service.create_channel(name)
+    for member_id in ("web-00", "%s-m0" % KERNEL):
+        service.register_member(member_id, KERNEL, channel=KERNEL)
+    assert service.channel_status(KERNEL)["subscribers"][1][
+        "member_id"] == "web-00"
+
+
+def test_cli_refuses_a_bad_name_with_exit_2(daemon, capsys):
+    from repro.cli import main
+
+    assert main(["member", "register", "../../x", "--kernel-version",
+                 KERNEL, "--url", daemon.url]) == 2
+    assert "must match [A-Za-z0-9._-]+" in capsys.readouterr().err
 
 
 def test_http_create_channel_and_list(daemon):
