@@ -12,6 +12,13 @@ enabled, and the runs must be *architecturally identical* — same
 thread exit values, same total instruction count (hence the same
 scheduler interleaving), and the same final memory image.
 
+Every timed JIT run starts from an empty trace library, so the
+speedups are cold-machine numbers: the machine records and compiles
+every trace it runs.  One *warm* rerun per workload then boots another
+machine from the same build, which adopts the library's traces instead
+(``traces_adopted`` in the payload); it must end in the same
+architectural state too.
+
 Timer tick: fleet throughput members run a 500-instruction quantum
 (the default 50 optimizes preemption latency, not throughput; a
 traced loop then spends most of each quantum in scheduler overhead).
@@ -39,7 +46,7 @@ import perfjson
 from repro.evaluation.engine import run_build_for
 from repro.evaluation.kernels import kernel_for_version
 from repro.evaluation.stress import STRESS_OK
-from repro.kernel import boot_kernel, set_jit_enabled
+from repro.kernel import boot_kernel, jit, set_jit_enabled
 
 VERSION = "2.6.16-deb3"
 
@@ -128,8 +135,12 @@ def _memory_digest(machine):
         for segment in machine.memory._segments)
 
 
-def _run_one(build, tree, source, rounds, quantum, jit):
-    prev = set_jit_enabled(jit)
+def _run_one(build, tree, source, rounds, quantum, jit_on, cold=True):
+    """One run on a fresh machine; a ``cold`` JIT run first empties
+    the trace library, so it adopts nothing."""
+    if jit_on and cold:
+        jit.clear_code_cache()
+    prev = set_jit_enabled(jit_on)
     try:
         machine = boot_kernel(tree, build=build, quantum=quantum)
         thread = machine.load_user_program(
@@ -160,7 +171,7 @@ def _run_one(build, tree, source, rounds, quantum, jit):
         set_jit_enabled(prev)
 
 
-def _run_best(build, tree, source, rounds, quantum, jit, reps):
+def _run_best(build, tree, source, rounds, quantum, jit_on, reps):
     """Best-of-N timing: fresh machine per rep, keep the fastest.
 
     Architectural results must be identical across reps (same program,
@@ -169,7 +180,7 @@ def _run_best(build, tree, source, rounds, quantum, jit, reps):
     """
     best = None
     for _ in range(max(1, reps)):
-        run = _run_one(build, tree, source, rounds, quantum, jit)
+        run = _run_one(build, tree, source, rounds, quantum, jit_on)
         if best is None:
             best = run
         else:
@@ -199,32 +210,41 @@ def measure(smoke, ticks=(THROUGHPUT_TICK,), reps=1):
         for name, source, full_rounds, smoke_rounds in WORKLOADS:
             rounds = smoke_rounds if smoke else full_rounds
             interp = _run_best(build, kernel.tree, source, rounds,
-                               quantum, jit=False, reps=reps)
-            jit = _run_best(build, kernel.tree, source, rounds,
-                            quantum, jit=True, reps=reps)
-            for run, label in ((interp, "interp"), (jit, "jit")):
+                               quantum, jit_on=False, reps=reps)
+            cold = _run_best(build, kernel.tree, source, rounds,
+                             quantum, jit_on=True, reps=reps)
+            warm = _run_one(build, kernel.tree, source, rounds,
+                            quantum, jit_on=True, cold=False)
+            runs = (("interp", interp), ("jit", cold), ("warm jit", warm))
+            for label, run in runs:
                 if run["exit_value"] != STRESS_OK:
                     failures.append(
                         "%s/%s/q%d returned %r"
                         % (name, label, quantum, run["exit_value"]))
-            if interp["arch"] != jit["arch"]:
-                failures.append(
-                    "%s/q%d architectural divergence: interp %r "
-                    "vs jit %r" % (name, quantum,
-                                   interp["arch"], jit["arch"]))
+            for label, run in runs[1:]:
+                if interp["arch"] != run["arch"]:
+                    failures.append(
+                        "%s/q%d architectural divergence: interp %r "
+                        "vs %s %r" % (name, quantum, interp["arch"],
+                                      label, run["arch"]))
+            adopted = warm["trace_stats"]["traces_adopted"]
+            if not adopted:
+                failures.append("%s/q%d: the warm rerun adopted no "
+                                "trace" % (name, quantum))
             total_interp_s += interp["seconds"]
-            total_jit_s += jit["seconds"]
+            total_jit_s += cold["seconds"]
             total_insns += interp["insns"]
-            stats = jit["trace_stats"]
+            stats = cold["trace_stats"]
             payload["workloads"]["%s@q%d" % (name, quantum)] = {
                 "insns": interp["insns"],
                 "interp_insns_per_s": round(interp["rate"]),
-                "jit_insns_per_s": round(jit["rate"]),
-                "speedup": round(jit["rate"] / interp["rate"], 2)
+                "jit_insns_per_s": round(cold["rate"]),
+                "speedup": round(cold["rate"] / interp["rate"], 2)
                 if interp["rate"] else 0.0,
                 "trace_hit_rate": round(
                     stats.get("trace_hit_rate", 0.0), 4),
                 "traces_compiled": stats.get("traces_compiled", 0),
+                "traces_adopted": adopted,
             }
         interp_rate = total_insns / total_interp_s
         jit_rate = total_insns / total_jit_s
@@ -242,10 +262,12 @@ def _report(label, payload):
               % (label, tick, numbers["interp_insns_per_s"],
                  numbers["jit_insns_per_s"], numbers["speedup"]))
     for name, numbers in sorted(payload["workloads"].items()):
-        print("  %-20s %8d -> %8d insns/s (%.2fx, hit %.1f%%)"
+        print("  %-20s %8d -> %8d insns/s (%.2fx, hit %.1f%%, "
+              "warm rerun adopted %d)"
               % (name, numbers["interp_insns_per_s"],
                  numbers["jit_insns_per_s"], numbers["speedup"],
-                 100 * numbers["trace_hit_rate"]))
+                 100 * numbers["trace_hit_rate"],
+                 numbers["traces_adopted"]))
 
 
 def test_interp_throughput_smoke(benchmark):

@@ -30,7 +30,10 @@ dead daemon left unfinished — its rollout record missing or still
 ``running`` — by marking the rollout ``interrupted`` (its streamed
 waves stay readable) and withdrawing its entry, which no member can
 hold.  The next publish then stacks on the newest entry members really
-hold, so a crash at any write never wedges a channel.
+hold, so a crash at any write never wedges a channel.  A rollout that
+finishes without updating any member (``failed``, ``gated``, or
+``halted`` with every targeted member rolled back) withdraws its entry
+in its final batch the same way.
 """
 
 from __future__ import annotations
@@ -365,9 +368,12 @@ class ControlPlaneService:
                     plan,
                     on_wave=lambda w: stream_wave(w.to_json_dict()))
         except Exception as exc:
+            # No member took the entry: withdraw it with the record,
+            # so the next publish stacks on the newest entry members
+            # really hold.
             record.status = ROLLOUT_FAILED
             record.detail = "%s: %s" % (type(exc).__name__, exc)
-            self.store.save_rollout(record)
+            self.store.withdraw(record)
             return
         record.report = report.to_json_dict()
         record.status = {
@@ -381,7 +387,9 @@ class ControlPlaneService:
     def _absorb_report(self, record: RolloutRecord,
                        entry: Dict[str, Any], report: Any) -> None:
         """Fold the rollout's outcome back into the registry, in the
-        same batch as the final rollout record."""
+        same batch as the final rollout record.  A rollout that
+        updated no member (gated, or halted with every targeted member
+        rolled back) withdraws its entry in that batch too."""
         member_ids = record.member_ids
         updated = {member_ids[i] for i in report.updated_members
                    if 0 <= i < len(member_ids)}
@@ -422,7 +430,8 @@ class ControlPlaneService:
                     # take traffic (or updates) again
                     member.quarantined = True
                 changed.append(member)
-            self.store.update_members(changed, rollout=record)
+            self.store.update_members(changed, rollout=record,
+                                      withdraw=not updated)
 
     # -- queries -----------------------------------------------------------
 

@@ -465,15 +465,24 @@ class ControlPlaneStore:
                               member.to_json_dict())])
 
     def update_members(self, members: List[Member],
-                       rollout: Optional[RolloutRecord] = None) -> None:
+                       rollout: Optional[RolloutRecord] = None,
+                       withdraw: bool = False) -> None:
         """Write member records, and the rollout record that moved
-        them, in one batch."""
-        puts: List[Put] = [("member", member.member_id,
-                            member.to_json_dict()) for member in members]
-        if rollout is not None:
-            puts.append(("rollout", rollout.rollout_id,
-                         rollout.to_json_dict()))
-        self.journal.append(puts)
+        them, in one batch; with ``withdraw``, the batch also
+        withdraws the channel entry the rollout delivers."""
+        with self.journal.lock:
+            puts: List[Put] = [("member", member.member_id,
+                                member.to_json_dict())
+                               for member in members]
+            if rollout is not None:
+                puts.append(("rollout", rollout.rollout_id,
+                             rollout.to_json_dict()))
+            if withdraw and rollout is not None:
+                withdrawal = self.channels.withdrawal(rollout.channel,
+                                                      rollout.sequence)
+                if withdrawal is not None:
+                    puts.append(withdrawal)
+            self.journal.append(puts)
 
     # -- rollouts ----------------------------------------------------------
 
@@ -484,14 +493,7 @@ class ControlPlaneStore:
     def withdraw(self, record: RolloutRecord) -> None:
         """Save ``record`` and withdraw the channel entry it delivers,
         in one batch (a publish closed without reaching any member)."""
-        with self.journal.lock:
-            puts: List[Put] = [("rollout", record.rollout_id,
-                                record.to_json_dict())]
-            withdrawal = self.channels.withdrawal(record.channel,
-                                                  record.sequence)
-            if withdrawal is not None:
-                puts.append(withdrawal)
-            self.journal.append(puts)
+        self.update_members([], rollout=record, withdraw=True)
 
     def load_rollout(self, rollout_id: str) -> RolloutRecord:
         blob = self.journal.rollouts.get(rollout_id)

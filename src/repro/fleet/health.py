@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import MachineError
-from repro.kernel.machine import Machine
+from repro.kernel.machine import Machine, MachineHealth
+
+#: the :class:`MachineHealth` counters a member report carries.  The
+#: JIT's trace counters stay out: they depend on which traces earlier
+#: machines of the process left in the trace library, and two
+#: identical rollouts must write identical reports.
+REPORTED_COUNTERS = ("healthy", "oops_count", "faulted_threads",
+                     "blocked_threads", "runnable_threads")
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,8 @@ class MemberHealth:
 
     healthy: bool
     reasons: List[str] = field(default_factory=list)
-    #: raw machine counters (lands in the member report JSON)
+    #: the machine's :data:`REPORTED_COUNTERS` (lands in the member
+    #: report JSON)
     machine: dict = field(default_factory=dict)
     probe_value: Optional[int] = None
 
@@ -77,7 +85,7 @@ def check_machine(machine: Machine,
     """The full health gate for one live machine."""
     snapshot = machine.health()
     health = MemberHealth(healthy=snapshot.healthy,
-                          machine=snapshot.to_json_dict())
+                          machine=_reported(snapshot))
     if not snapshot.healthy:
         oops = machine.oopses[-1] if machine.oopses else None
         health.reasons.append(
@@ -92,7 +100,7 @@ def check_machine(machine: Machine,
             health.reasons.append("health probe faulted: %s" % exc)
             # the probe fault itself registers as an oops; refresh the
             # counters so the report shows the post-probe state
-            health.machine = machine.health().to_json_dict()
+            health.machine = _reported(machine.health())
             return health
         health.probe_value = value
         expected = policy.expected(expect_patched)
@@ -103,6 +111,11 @@ def check_machine(machine: Machine,
                 % (policy.function, value, expected,
                    "patched" if expect_patched else "unpatched"))
     return health
+
+
+def _reported(snapshot: MachineHealth) -> dict:
+    counters = snapshot.to_json_dict()
+    return {key: counters[key] for key in REPORTED_COUNTERS}
 
 
 def _run_policy_probe(machine: Machine, policy: HealthPolicy) -> int:

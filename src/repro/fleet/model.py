@@ -211,7 +211,8 @@ class MemberReport:
     applied: bool = False
     #: the wave went red and this member's update was LIFO-undone
     rolled_back: bool = False
-    #: ``Machine.health().to_json_dict()`` at the wave's health gate
+    #: the machine's liveness counters at the wave's health gate
+    #: (:data:`~repro.fleet.health.REPORTED_COUNTERS`)
     health: Dict[str, Any] = field(default_factory=dict)
     stack_check_attempts: int = 0
 

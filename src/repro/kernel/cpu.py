@@ -28,7 +28,12 @@ from repro.arch.isa import (
     instruction_length,
 )
 from repro.errors import DisassemblyError, MachineError
-from repro.kernel.jit import HOT_THRESHOLD, TraceRecorder, compile_recorded
+from repro.kernel.jit import (
+    HOT_THRESHOLD,
+    TraceRecorder,
+    adopt,
+    compile_recorded,
+)
 from repro.kernel.memory import Memory
 
 _MASK = 0xFFFFFFFF
@@ -397,10 +402,12 @@ class TraceStats:
     interpreted/traced splits without walking hundreds of discarded
     machines.  ``total_insns`` is bumped by the scheduler (one add per
     quantum), the rest by the trace dispatch and eviction paths.
+    ``compiled`` counts traces recorded and compiled on a machine,
+    ``adopted`` traces a machine took from the trace library instead.
     """
 
     __slots__ = ("total_insns", "traced_insns", "trace_hits",
-                 "compiled", "evicted")
+                 "compiled", "adopted", "evicted")
 
     def __init__(self) -> None:
         self.reset()
@@ -410,6 +417,7 @@ class TraceStats:
         self.traced_insns = 0
         self.trace_hits = 0
         self.compiled = 0
+        self.adopted = 0
         self.evicted = 0
 
     def snapshot(self) -> dict:
@@ -418,6 +426,7 @@ class TraceStats:
             "traced_insns": self.traced_insns,
             "trace_hits": self.trace_hits,
             "compiled": self.compiled,
+            "adopted": self.adopted,
             "evicted": self.evicted,
         }
 
@@ -461,8 +470,8 @@ class _DecodeCache:
     """
 
     __slots__ = ("version", "entries", "traces", "counters", "recording",
-                 "traced_insns", "trace_hits", "compiled", "evicted",
-                 "code_words")
+                 "traced_insns", "trace_hits", "compiled", "adopted",
+                 "evicted", "code_words")
 
     def __init__(self) -> None:
         self.version = -1
@@ -473,11 +482,13 @@ class _DecodeCache:
         self.traced_insns = 0
         self.trace_hits = 0
         self.compiled = 0
+        self.adopted = 0
         self.evicted = 0
         #: 4-byte-word keys (address >> 2) covering every byte of every
         #: instruction ever cached — entries, traces, and any in-flight
         #: recording all decode through :func:`_decode_at`, which
-        #: registers them here.  A write whose words all miss this set
+        #: registers them here; an adopted trace registers its path's
+        #: words when it binds.  A write whose words all miss this set
         #: cannot overlap cached code, so ``invalidate_range`` returns
         #: without scanning anything.  Grows monotonically (cleared
         #: only with the whole cache); staying large after evictions
@@ -648,10 +659,15 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
     moved backwards: a loop head or hot return site), compiles a
     target crossing :data:`~repro.kernel.jit.HOT_THRESHOLD` into a
     superinstruction, and dispatches to compiled traces at slice entry
-    and after every backward transfer.  A trace only runs when the
-    remaining step budget covers a worst-case pass, so quantum
-    boundaries — and therefore scheduler interleavings — are
-    bit-identical to the pure interpreter.
+    and after every backward transfer.  Before counting a dispatch
+    point for the first time, and again before recording it, the loop
+    tries :func:`~repro.kernel.jit.adopt`: a trace recorded earlier in
+    this process, by any machine, over bytes identical to this
+    machine's is bound here instead of being counted, recorded and
+    compiled again.
+    A trace only runs when the remaining step budget covers a
+    worst-case pass, so quantum boundaries — and therefore scheduler
+    interleavings — are bit-identical to the pure interpreter.
     """
     cache = _cache_for(memory)
     normal = _NORMAL
@@ -749,10 +765,21 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
                     # slice-start PCs (where the previous quantum's
                     # trace stopped — these become rotated loop
                     # traces), and trace side-exit continuations.
+                    # A point's first visit, and the visit that would
+                    # start recording it, first try to adopt a trace
+                    # recorded earlier over identical bytes.
                     count = counters_get(ip, 0) + 1
                     counters[ip] = count
-                    if count >= HOT_THRESHOLD:
-                        rec = cache.recording = TraceRecorder(ip)
+                    if count == 1 or count >= HOT_THRESHOLD:
+                        trace = adopt(ip, memory, StepEvent)
+                        if trace is not None:
+                            traces[ip] = trace
+                            cache.adopted += 1
+                            TRACE_STATS.adopted += 1
+                            check = True
+                            continue
+                        if count >= HOT_THRESHOLD:
+                            rec = cache.recording = TraceRecorder(ip)
             op = entries_get(ip)
             if op is None:
                 try:

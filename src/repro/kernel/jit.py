@@ -39,14 +39,26 @@ classic tracing translator:
    ``_DecodeCache.invalidate_range`` and flips ``valid`` so an
    *in-flight* trace side-exits right after the store that patched it.
 
-Generated code objects are cached globally per (entry, path, region
-bytes) so a fleet of identical kernels compiles each hot path once and
-every member just re-binds it to its own memory.
+Every compiled recording is published to a process-wide *trace
+library* under its entry PC, as a :class:`TraceTemplate`: the byte
+range ``[lo, hi)`` it was compiled from with those bytes, the words
+its path's instructions cover, and its generated factory.  A machine
+whose dispatch point has no trace yet calls :func:`adopt` on the
+point's first visit and again before recording it; adoption takes the
+first template whose bytes equal this machine's bytes over the same
+range, registers the path's words in this machine's ``code_words`` (so
+a store into that code still evicts the trace), and binds the factory
+to this machine's memory.  A fleet of identical kernels therefore
+records, compiles and binds each hot path once per process, and a
+trace only ever runs over bytes identical to the ones it was recorded
+from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import threading
+from collections import deque
+from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.arch.isa import (
     Instruction,
@@ -69,10 +81,15 @@ MAX_TRACE_INSNS = 128
 #: interpreter covers the tail) to keep their compile cost down
 CAREFUL_MAX = 128
 
-#: generated code objects, keyed by (entry pc, path, region bytes) —
-#: shared across machines so a fleet compiles each hot path once
-_CODE_CACHE: Dict[tuple, object] = {}
-_CODE_CACHE_MAX = 4096
+#: the trace library: entry PC -> published templates, oldest first.
+#: Rollouts run on daemon threads, so publishing replaces an entry's
+#: tuple under :data:`_LIBRARY_LOCK` and never mutates one a reader
+#: may be iterating.
+_LIBRARY: Dict[int, Tuple["TraceTemplate", ...]] = {}
+#: every published template, oldest first (the eviction order)
+_LIBRARY_ORDER: Deque["TraceTemplate"] = deque()
+_LIBRARY_LOCK = threading.Lock()
+_LIBRARY_MAX = 4096
 
 #: opcodes that always end a recording.  Calls and returns are *not*
 #: here: the recorder follows them into the callee (the actual executed
@@ -194,20 +211,43 @@ class CompiledTrace:
     code being patched.
     """
 
-    __slots__ = ("entry", "lo", "hi", "length", "looping", "fn", "valid")
+    __slots__ = ("entry", "lo", "hi", "fn", "valid")
 
-    def __init__(self, entry: int, lo: int, hi: int, length: int,
-                 looping: bool) -> None:
+    def __init__(self, entry: int, lo: int, hi: int) -> None:
         self.entry = entry
         self.lo = lo
         self.hi = hi
-        self.length = length
-        self.looping = looping
         self.fn = None
         self.valid = True
 
     def overlaps(self, lo: int, hi: int) -> bool:
         return self.lo < hi and lo < self.hi
+
+
+class TraceTemplate:
+    """One published recording, adoptable by any machine.
+
+    A trace is a pure function of the bytes its path decoded, all of
+    which lie in ``[lo, hi)``: a machine holding ``raw`` over that
+    range may run it.  ``words`` are the 4-byte words the path's
+    instructions cover, ``path`` the recorded addresses (it tells
+    identical recordings apart), and ``make`` the generated factory
+    that binds the trace to one machine.  Nothing here refers to a
+    machine: the library never keeps one alive.
+    """
+
+    __slots__ = ("entry", "lo", "hi", "raw", "words", "path", "make")
+
+    def __init__(self, entry: int, lo: int, hi: int, raw: bytes,
+                 words: FrozenSet[int], path: Tuple[int, ...],
+                 make) -> None:
+        self.entry = entry
+        self.lo = lo
+        self.hi = hi
+        self.raw = raw
+        self.words = words
+        self.path = path
+        self.make = make
 
 
 class TraceRecorder:
@@ -853,21 +893,21 @@ def _generate_source(entry: int,
 
 def compile_recorded(recorder: TraceRecorder, memory,
                      events) -> Optional[CompiledTrace]:
-    """Compile a completed recording against ``memory``.
+    """Compile a completed recording, publish it, bind it to ``memory``.
 
     ``events`` supplies the interpreter's StepEvent singletons so
     generated code returns the very same objects ``run_slice``
-    compares against.  Returns None when the path cannot be compiled.
+    compares against.  An identical recording already in the library
+    (same entry, path and bytes) is bound without compiling again.
+    Returns None when the path cannot be compiled.
     """
     steps = recorder.steps
     if not steps:
         return None
     kind = recorder.kind()
+    entry = recorder.entry
     lo = min(addr for addr, _, _ in steps)
     hi = max(addr + insn.length for addr, insn, _ in steps)
-    trace = CompiledTrace(entry=recorder.entry, lo=lo, hi=hi,
-                          length=len(steps), looping=kind == "loop")
-
     try:
         raw = memory.read_bytes(lo, hi - lo)
     except MachineError:
@@ -877,32 +917,76 @@ def compile_recorded(recorder: TraceRecorder, memory,
         # also be evicted by every write in between; decline instead.
         return None
     path = tuple(addr for addr, _, _ in steps)
-    key = (recorder.entry, path, raw)
-    code = _CODE_CACHE.get(key)
-    if code is None:
-        try:
-            source = _generate_source(recorder.entry, steps, kind,
-                                      recorder.exit_target)
-        except MachineError:
-            return None
-        code = compile(source, "<k86-trace-0x%08x>" % recorder.entry,
-                       "exec")
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.pop(next(iter(_CODE_CACHE)))
-        _CODE_CACHE[key] = code
-
+    for template in _LIBRARY.get(entry, ()):
+        if template.path == path and template.raw == raw:
+            return _bind(template, memory, events)
+    try:
+        source = _generate_source(entry, steps, kind,
+                                  recorder.exit_target)
+    except MachineError:
+        return None
+    code = compile(source, "<k86-trace-0x%08x>" % entry, "exec")
     namespace: Dict[str, object] = {}
     exec(code, namespace)  # noqa: S102 - generated from decoded insns
+    words = frozenset(
+        word for addr, insn, _ in steps
+        for word in range(addr >> 2, ((addr + insn.length - 1) >> 2) + 1))
+    template = TraceTemplate(entry, lo, hi, raw, words, path,
+                             namespace["_make"])
+    _publish(template)
+    return _bind(template, memory, events)
+
+
+def adopt(entry: int, memory, events) -> Optional[CompiledTrace]:
+    """Bind the first library trace at ``entry`` whose recorded bytes
+    equal ``memory``'s over the same range, or return None."""
+    for template in _LIBRARY.get(entry, ()):
+        lo = template.lo
+        try:
+            here = memory.read_bytes(lo, template.hi - lo)
+        except MachineError:
+            continue
+        if here == template.raw:
+            return _bind(template, memory, events)
+    return None
+
+
+def _bind(template: TraceTemplate, memory, events) -> CompiledTrace:
+    """Instantiate ``template`` on ``memory``.
+
+    The path's words join this machine's ``code_words``: an adopting
+    machine may never have decoded them, and without them a store into
+    the trace's code would skip the invalidation that evicts it.
+    """
+    trace = CompiledTrace(template.entry, template.lo, template.hi)
     read, write, holder = memory.jit_accessors()
-    cache = memory._decode_cache
-    code_words = cache.code_words if cache is not None else frozenset()
-    trace.fn = namespace["_make"](
+    code_words = memory._decode_cache.code_words
+    code_words.update(template.words)
+    trace.fn = template.make(
         trace, read, write, holder, code_words,
         events.NORMAL, events.SYSCALL, events.SCHED,
         events.HALT, MachineError)
     return trace
 
 
+def _publish(template: TraceTemplate) -> None:
+    """Add ``template`` to the library, dropping the oldest templates
+    beyond :data:`_LIBRARY_MAX`."""
+    with _LIBRARY_LOCK:
+        entry = template.entry
+        _LIBRARY[entry] = _LIBRARY.get(entry, ()) + (template,)
+        _LIBRARY_ORDER.append(template)
+        while len(_LIBRARY_ORDER) > _LIBRARY_MAX:
+            old = _LIBRARY_ORDER.popleft()
+            rest = tuple(t for t in _LIBRARY[old.entry] if t is not old)
+            if rest:
+                _LIBRARY[old.entry] = rest
+            else:
+                del _LIBRARY[old.entry]
+
+
 def clear_code_cache() -> None:
-    """Drop the shared generated-code objects (test isolation)."""
-    _CODE_CACHE.clear()
+    """Empty the trace library (test and benchmark isolation)."""
+    with _LIBRARY_LOCK:
+        _LIBRARY.clear()
+        _LIBRARY_ORDER.clear()

@@ -65,11 +65,13 @@ class MachineHealth:
     """One machine's liveness snapshot, as a fleet health probe sees it.
 
     ``healthy`` is the headline verdict: no oopses ever, and no faulted
-    thread still on the scheduler.  The counters ride along so a
-    rollout report can say *why* a member went red.  The interpreter
-    perf counters (traced vs interpreted instructions, compiled and
-    evicted trace counts) make JIT behavior observable per member: a
-    rollout that evicts traces at stop_machine shows up here.
+    thread still on the scheduler.  The thread counters ride along so
+    a rollout report can say *why* a member went red.  The interpreter
+    perf counters (traced vs interpreted instructions; traces compiled
+    here, adopted from the process's trace library, and evicted) make
+    JIT behavior observable per machine.  They depend on which traces
+    earlier machines of the process published, so rollout reports
+    leave them out (:func:`repro.fleet.health.check_machine`).
     """
 
     healthy: bool
@@ -82,6 +84,7 @@ class MachineHealth:
     interpreted_insns: int = 0
     trace_hits: int = 0
     traces_compiled: int = 0
+    traces_adopted: int = 0
     traces_evicted: int = 0
     trace_hit_rate: float = 0.0
 
@@ -96,6 +99,7 @@ class MachineHealth:
             "interpreted_insns": self.interpreted_insns,
             "trace_hits": self.trace_hits,
             "traces_compiled": self.traces_compiled,
+            "traces_adopted": self.traces_adopted,
             "traces_evicted": self.traces_evicted,
             "trace_hit_rate": self.trace_hit_rate,
         }
@@ -318,6 +322,7 @@ class Machine:
             "interpreted_insns": max(total - traced, 0),
             "trace_hits": cache.trace_hits if cache is not None else 0,
             "traces_compiled": cache.compiled if cache is not None else 0,
+            "traces_adopted": cache.adopted if cache is not None else 0,
             "traces_evicted": cache.evicted if cache is not None else 0,
             "trace_hit_rate": traced / total if total else 0.0,
         }
@@ -342,6 +347,7 @@ class Machine:
             interpreted_insns=trace["interpreted_insns"],
             trace_hits=trace["trace_hits"],
             traces_compiled=trace["traces_compiled"],
+            traces_adopted=trace["traces_adopted"],
             traces_evicted=trace["traces_evicted"],
             trace_hit_rate=trace["trace_hit_rate"])
 

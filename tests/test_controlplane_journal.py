@@ -21,6 +21,8 @@ import pytest
 import repro.controlplane.store as store_mod
 from repro.controlplane import (
     ROLLOUT_COMPLETE,
+    ROLLOUT_FAILED,
+    ROLLOUT_GATED,
     ROLLOUT_INTERRUPTED,
     ROLLOUT_RUNNING,
     ChannelStore,
@@ -180,6 +182,71 @@ def test_crash_inside_recover(tmp_path, shape):
     assert_next_publish_reaches_everyone(revived)
     # a clean restart finds nothing left to close
     assert restart(root).recover() == []
+
+
+def assert_entry_withdrawn(service, record, live):
+    """``record``'s entry is withdrawn and ``live`` is the newest entry
+    members hold; the registry still agrees with the chain."""
+    entry = service.store.channels.entries("canary")[-1]
+    assert entry["sequence"] == record.sequence
+    assert entry["withdrawn"] is True
+    assert service.store.channels.latest_sequence("canary") == live
+    for member in service.store.members():
+        assert member.applied_sequence == live
+    assert_consistent(service)
+
+
+def assert_next_publish_stacks_on(service, live):
+    assert_next_publish_reaches_everyone(service)
+    assert service.store.channels.entries("canary")[-1][
+        "base_sequence"] == live
+
+
+def test_a_failed_rollout_withdraws_its_entry(tmp_path):
+    """A rollout that raised (here: an unreachable worker) updated no
+    member, so its entry must not become the base of the next one."""
+    service = fleet_service(str(tmp_path))
+    service.publish("canary", CVE, synchronous=True)
+    for member_id in MEMBERS:
+        service.register_member(member_id, KERNEL, channel="canary",
+                                worker="127.0.0.1:1")
+    record = service.publish("canary", CVE, synchronous=True)
+    record = service.rollout(record.rollout_id)
+    assert record.status == ROLLOUT_FAILED
+    assert_entry_withdrawn(service, record, live=1)
+
+    for member_id in MEMBERS:
+        service.register_member(member_id, KERNEL, channel="canary")
+    assert_next_publish_stacks_on(service, live=1)
+
+
+def test_a_gated_rollout_withdraws_its_entry(tmp_path, monkeypatch):
+    """A forced publish the fleet's analyzer gate refuses touches no
+    machine; the good publish after it reaches every member."""
+    from repro.analysis import AnalysisReport, Finding
+    import repro.evaluation.analyze as analyze_mod
+    import repro.fleet.orchestrator as orchestrator_mod
+
+    service = fleet_service(str(tmp_path))
+    service.publish("canary", CVE, synchronous=True)
+    reject = AnalysisReport(run_build_analyzed=True)
+    reject.add(Finding(analysis="lint", verdict="reject", unit="unit.c",
+                       symbol="fn", detail="seeded reject"))
+    corpus_update = orchestrator_mod._corpus_update
+    with monkeypatch.context() as patch:
+        patch.setattr(analyze_mod, "analyze_corpus_cve",
+                      lambda spec, augmented=True: reject)
+        patch.setattr(orchestrator_mod, "_corpus_update",
+                      lambda *args: corpus_update(*args)[:2] + (reject,))
+        record = service.publish("canary", CVE, synchronous=True,
+                                 force=True)
+    record = service.rollout(record.rollout_id)
+    assert record.status == ROLLOUT_GATED
+    assert record.forced
+    assert record.waves == []
+    assert_entry_withdrawn(service, record, live=1)
+
+    assert_next_publish_stacks_on(service, live=1)
 
 
 def test_withdrawn_entries_keep_their_sequence_out_of_the_chain():

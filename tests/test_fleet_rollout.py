@@ -28,6 +28,7 @@ from repro.fleet.model import (
     MEMBER_STACK_CHECK,
     MEMBER_UPDATED,
 )
+from repro.kernel import jit
 
 CVE = "CVE-2006-2451"  # analyzer-safe, has a semantics probe
 
@@ -257,6 +258,9 @@ def test_report_json_is_deterministic_and_round_trips():
     plan = RolloutPlan(
         cve_id=CVE, fleet_size=4, canary=1,
         faults=[InjectedFault.parse("oops", "1:1")])
+    # The first rollout records its JIT traces into an empty trace
+    # library and the second adopts them; the reports must not differ.
+    jit.clear_code_cache()
     first = rollout_corpus_cve(plan)
     second = rollout_corpus_cve(plan)
     assert first.to_json() == second.to_json()
