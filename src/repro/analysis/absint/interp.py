@@ -38,7 +38,6 @@ from repro.analysis.absint.domain import (
     arg_slot_index,
     const,
     dataptr,
-    entry_value,
     join_states,
     signed32,
     stackaddr,
@@ -134,12 +133,6 @@ class FunctionSummary:
     @property
     def frame_preserved(self) -> bool:
         return bool(self.rets) and all(r.fp_preserved for r in self.rets)
-
-    def escape_symbols(self) -> Set[str]:
-        return {e.symbol for e in self.escapes}
-
-    def accessed_symbols(self) -> Set[str]:
-        return {a.symbol for a in self.accesses}
 
 
 def _reloc_symbol_for(instr: DecodedInstruction,
@@ -417,8 +410,3 @@ def summarize_section_function(
     return summarize_function(
         name, obj_section.data, _relocation_map(obj_section),
         start=start, end=end, resolve_callee=resolve_callee)
-
-
-def fresh_state() -> MachineState:
-    """Entry state (exposed for tests)."""
-    return MachineState(regs=tuple(entry_value(i) for i in range(8)))

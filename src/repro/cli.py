@@ -600,7 +600,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.distributed import parse_address, serve
+    from repro.distributed import AuthError, parse_address, serve
 
     if args.cache_dir:
         from repro.compiler.cache import enable_disk_cache
@@ -612,17 +612,17 @@ def cmd_worker(args: argparse.Namespace) -> int:
     secret = args.secret.encode("utf-8") if args.secret else None
 
     def ready(bound_host: str, bound_port: int) -> None:
-        print("worker listening on %s:%d (pid %d%s)"
-              % (bound_host, bound_port, os.getpid(),
-                 ", authenticated"
-                 if secret or os.environ.get("KSPLICE_WORKER_SECRET")
-                 else ""), flush=True)
+        print("worker listening on %s:%d (pid %d)"
+              % (bound_host, bound_port, os.getpid()), flush=True)
 
     try:
         max_frame = int(args.max_frame_mb * 1024 * 1024)
         serve(host=host, port=port, once=args.once, ready=ready,
               secret=secret, item_timeout=args.item_timeout,
               max_frame=max_frame)
+    except AuthError as exc:  # no secret: the worker refuses to start
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     except KeyboardInterrupt:
         pass
     return EXIT_OK
@@ -1128,8 +1128,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="require coordinators to prove this shared "
                                "secret before anything is deserialized "
                                "(default: the KSPLICE_WORKER_SECRET "
-                               "environment variable; neither set serves "
-                               "unauthenticated)")
+                               "environment variable; the worker refuses "
+                               "to start with neither set)")
     p_worker.add_argument("--item-timeout", type=float, default=None,
                           metavar="SECONDS",
                           help="abandon a wedged work item after this "

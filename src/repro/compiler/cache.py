@@ -433,12 +433,6 @@ def parse_unit_cached(source: str, unit_name: str = "<unit>") -> ast.Unit:
     return cached
 
 
-def set_caches_enabled(enabled: bool) -> None:
-    """Benchmark/bisection aid: bypass every registered cache."""
-    for cache in _REGISTRY:
-        cache.enabled = enabled
-
-
 def clear_caches() -> None:
     """Drop every registered cache's entries (all tiers, including the
     files of the disk tier) and counters."""
@@ -461,13 +455,6 @@ def reset_cache_stats() -> None:
 def cache_stats() -> Dict[str, CacheStats]:
     """Current counters, keyed by cache name."""
     return {cache.name: cache.stats for cache in _REGISTRY}
-
-
-def combined_stats() -> CacheStats:
-    total = CacheStats()
-    for cache in _REGISTRY:
-        total.merge(cache.stats)
-    return total
 
 
 def compile_cache_key(source: str, unit_name: str,

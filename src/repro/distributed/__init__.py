@@ -9,9 +9,9 @@ not with one machine's cores:
   codec: struct-packed, length-prefixed, versioned frames over a
   closed class registry (``pickle`` is gone from the data plane);
 * :mod:`~repro.distributed.crypto` — the mutual handshake (HMAC
-  challenge/response with a shared secret, anonymous DH without one),
-  per-session key derivation, and the frame cipher that encrypts
-  every post-handshake record;
+  challenge/response over a shared secret), per-session key
+  derivation, and the frame cipher that encrypts every
+  post-handshake record;
 * :mod:`~repro.distributed.protocol` — the record format both
   transports call (encode, seal, bound, open), the wire vocabulary,
   and the blocking :class:`MessageStream` whose one caller is
@@ -32,14 +32,13 @@ not with one machine's cores:
 
 Entry points: ``evaluate_corpus(workers=[...])`` /
 ``repro evaluate --workers`` on the coordinator side and
-``repro worker --listen`` on the worker side.  Workers started with a
-shared secret (``--secret`` / ``KSPLICE_WORKER_SECRET``) authenticate
-peers with an HMAC challenge/response before deserializing anything;
-without one the session still key-exchanges (unauthenticated DH) so
-every data frame is encrypted either way.  ``--item-timeout`` bounds
-each item's wall clock so one wedged CVE cannot hang a session, and
-``--max-frame-mb`` bounds frame sizes (an oversize frame drops the
-peer).
+``repro worker --listen`` on the worker side.  Both sides require a
+shared secret (``--secret`` / ``KSPLICE_WORKER_SECRET``): workers
+authenticate peers with an HMAC challenge/response before
+deserializing anything, and every data frame is encrypted.
+``--item-timeout`` bounds each item's wall clock so one wedged CVE
+cannot hang a session, and ``--max-frame-mb`` bounds frame sizes (an
+oversize frame drops the peer).
 """
 
 from repro.distributed.aio import (

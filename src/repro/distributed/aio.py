@@ -59,7 +59,7 @@ class AsyncChannel:
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
-                 ciphers: Optional[CipherPair],
+                 ciphers: CipherPair,
                  max_frame: int = MAX_FRAME):
         self._reader = reader
         self._writer = writer
@@ -186,26 +186,16 @@ async def accept_channel(reader: asyncio.StreamReader,
                          max_frame: int = MAX_FRAME) -> AsyncChannel:
     """Server side of the v3 handshake on the event loop.
 
-    Anonymous-mode DH runs in the default executor so a burst of
-    connecting peers cannot stall the loop on modexp; secret-mode
-    handshakes are a few HMACs and run inline.
+    Raises :class:`AuthError` before a byte moves when ``secret`` is
+    missing.
     """
-    loop = asyncio.get_running_loop()
+    handshake = ServerHandshake(protocol.require_secret(secret))
     sock = writer.get_extra_info("socket")
     if sock is not None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
-        if secret:
-            handshake = ServerHandshake(secret)
-            await _send_raw(writer, handshake.banner())
-            confirm = handshake.verify(await _recv_raw(reader))
-        else:
-            handshake = await loop.run_in_executor(None, ServerHandshake,
-                                                   secret)
-            await _send_raw(writer, handshake.banner())
-            response = await _recv_raw(reader)
-            confirm = await loop.run_in_executor(None, handshake.verify,
-                                                 response)
+        await _send_raw(writer, handshake.banner())
+        confirm = handshake.verify(await _recv_raw(reader))
         await _send_raw(writer, confirm)
     except HandshakeError as exc:
         raise AuthError(str(exc))
@@ -220,24 +210,19 @@ async def connect_channel(host: str, port: int,
                           max_frame: int = MAX_FRAME,
                           connect_timeout: float = 5.0,
                           ) -> AsyncChannel:
-    """Connect + client side of the v3 handshake on the event loop."""
-    loop = asyncio.get_running_loop()
+    """Connect + client side of the v3 handshake on the event loop;
+    :class:`AuthError` before any socket opens when ``secret`` is
+    missing."""
+    handshake = ClientHandshake(protocol.require_secret(secret))
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host, port), timeout=connect_timeout)
     sock = writer.get_extra_info("socket")
     if sock is not None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
-        handshake = ClientHandshake(secret)
         banner = await asyncio.wait_for(_recv_raw(reader),
                                         timeout=connect_timeout)
-        if secret:
-            response = handshake.respond(banner)
-        else:
-            response = await loop.run_in_executor(None,
-                                                  handshake.respond,
-                                                  banner)
-        await _send_raw(writer, response)
+        await _send_raw(writer, handshake.respond(banner))
         try:
             confirm = await asyncio.wait_for(_recv_raw(reader),
                                              timeout=connect_timeout)
@@ -245,7 +230,6 @@ async def connect_channel(host: str, port: int,
             raise AuthError("worker rejected the handshake "
                             "(connection closed)")
         handshake.verify(confirm)
-        ciphers = protocol.client_ciphers(handshake, secret)
     except (HandshakeError, asyncio.TimeoutError) as exc:
         writer.close()
         if isinstance(exc, asyncio.TimeoutError):
@@ -257,4 +241,5 @@ async def connect_channel(host: str, port: int,
         if isinstance(exc, asyncio.IncompleteReadError):
             raise AuthError("worker closed during the handshake")
         raise
-    return AsyncChannel(reader, writer, ciphers, max_frame=max_frame)
+    return AsyncChannel(reader, writer, handshake.ciphers(),
+                        max_frame=max_frame)

@@ -282,8 +282,16 @@ class Coordinator:
                     0.01, min(t for t, _ in state.retry) - now))
             await self._wait_wake(timeout)
 
-    def _record_result(self, item: WorkItem, offset: int,
+    def _record_result(self, item: WorkItem, offset: Any,
                        result: Any) -> None:
+        """Store the ``CveResult`` of the spec at ``offset``, or fail."""
+        from repro.evaluation.harness import CveResult
+
+        if type(offset) is not int or not 0 <= offset < len(item.specs) \
+                or not isinstance(result, CveResult) \
+                or result.cve_id != item.specs[offset].cve_id:
+            raise ProtocolError("worker sent a result that does not "
+                                "belong to item %s" % item.item_id)
         state = self._state
         index = item.indices[offset]
         fresh = state.results[index] is None
@@ -460,8 +468,8 @@ class Coordinator:
             kind = message.get("type")
             if kind == protocol.RESULT \
                     and message.get("item_id") == item.item_id:
-                self._record_result(item, message["offset"],
-                                    message["result"])
+                self._record_result(item, message.get("offset"),
+                                    message.get("result"))
             elif kind == protocol.ITEM_DONE \
                     and message.get("item_id") == item.item_id:
                 self._finish_item(peer_id, item,

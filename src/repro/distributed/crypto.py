@@ -6,27 +6,17 @@ v3 closes that gap: the handshake additionally agrees on per-session
 keys, and **every post-handshake frame is encrypted and authenticated**
 (encrypt-then-MAC) in both directions.
 
-Two key-agreement modes, chosen by whether a secret is configured:
+Every session has one shape: both sides prove the shared secret with
+the same domain-separated HMAC challenge/response as v2 (mutual: a
+client never sends work to an impostor worker), then derive session
+keys from ``HMAC(secret, nonces)``.  Two HMACs per connection — cheap
+enough for ten thousand fleet members handshaking in one rollout.
 
-* **secret mode** — both sides prove the shared secret with the same
-  domain-separated HMAC challenge/response as v2 (mutual: a client
-  never sends work to an impostor worker), then derive session keys
-  from ``HMAC(secret, nonces)``.  Two HMACs per connection — cheap
-  enough for ten thousand fleet members handshaking in one rollout.
-* **anonymous mode** (no secret on either side) — a classic
-  finite-field Diffie-Hellman exchange over the RFC 3526 2048-bit MODP
-  group.  Unauthenticated (the v2 trust model for open workers is
-  unchanged: run them only where you would run the evaluation), but a
-  passive observer on the wire now sees ciphertext, not pickled
-  ``CveResult`` objects.  ~3 ms of ``pow()`` per side, paid once per
-  connection.
-
-The mode cannot be downgraded: a client configured with a secret
-refuses any banner that is not secret mode (rather than silently
-falling back to unauthenticated DH), and the banner's mode byte is
-bound into every HMAC proof and into master-key derivation, so a MITM
-rewriting it desynchronizes the two sides' keys and the key
-confirmation fails.
+The banner carries a mode byte, and a client refuses any banner that
+is not secret mode (an older open worker, or a MITM rewriting the byte
+to dodge the challenge).  The byte is bound into every HMAC proof and
+into master-key derivation, so a MITM rewriting it desynchronizes the
+two sides' keys and the key confirmation fails.
 
 Frame protection (:class:`FrameCipher`, one per direction):
 
@@ -51,7 +41,7 @@ import hmac
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import ReproError
 
@@ -63,24 +53,9 @@ TAG_SIZE = 16
 _DIGEST_SIZE = 32
 
 MAGIC = b"KSP3"
-MODE_ANON = 0
 MODE_SECRET = 1
 
 _SEQ = struct.Struct("!Q")
-
-#: RFC 3526 group 14 (2048-bit MODP), generator 2
-_DH_PRIME = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
-    16)
-_DH_GENERATOR = 2
-_DH_BYTES = 256
 
 #: domain separation labels (v2's client/worker split, carried forward)
 _CLIENT_DOMAIN = b"ksplice3-client:"
@@ -96,12 +71,11 @@ class FrameAuthError(ReproError):
     """A frame failed decryption/authentication mid-session."""
 
 
-def _proof(secret: bytes, domain: bytes, mode: int,
-           nonce: bytes) -> bytes:
-    # The handshake mode byte is bound into every proof so a MITM
-    # rewriting the banner's mode cannot splice two half-handshakes
-    # into one session: mismatched modes produce mismatched proofs.
-    return hmac.new(secret, domain + bytes([mode]) + nonce,
+def _proof(secret: bytes, domain: bytes, nonce: bytes) -> bytes:
+    # The mode byte is bound into every proof and the master key: it
+    # keeps secret-mode sessions byte-compatible with earlier v3
+    # peers, and a MITM rewriting it gets mismatched proofs.
+    return hmac.new(secret, domain + bytes([MODE_SECRET]) + nonce,
                     "sha256").digest()
 
 
@@ -118,49 +92,23 @@ class SessionKeys:
     c2w_mac: bytes
     w2c_enc: bytes
     w2c_mac: bytes
-    #: True when the peer proved knowledge of the shared secret
-    authenticated: bool = False
 
     @classmethod
-    def from_master(cls, master: bytes,
-                    authenticated: bool) -> "SessionKeys":
+    def from_master(cls, master: bytes) -> "SessionKeys":
         return cls(
             c2w_enc=_derive(master, b"c2w-enc"),
             c2w_mac=_derive(master, b"c2w-mac"),
             w2c_enc=_derive(master, b"w2c-enc"),
             w2c_mac=_derive(master, b"w2c-mac"),
-            authenticated=authenticated,
         )
 
 
-def _master_from_secret(secret: bytes, mode: int, worker_nonce: bytes,
-                        client_nonce: bytes) -> bytes:
+def _master(secret: bytes, worker_nonce: bytes,
+            client_nonce: bytes) -> bytes:
     return hmac.new(secret,
-                    _MASTER_DOMAIN + bytes([mode]) + worker_nonce
+                    _MASTER_DOMAIN + bytes([MODE_SECRET]) + worker_nonce
                     + client_nonce,
                     "sha256").digest()
-
-
-def _master_from_dh(shared: int, mode: int, worker_nonce: bytes,
-                    client_nonce: bytes) -> bytes:
-    shared_bytes = shared.to_bytes(_DH_BYTES, "big")
-    return hmac.new(shared_bytes,
-                    _MASTER_DOMAIN + bytes([mode]) + worker_nonce
-                    + client_nonce,
-                    "sha256").digest()
-
-
-def _dh_keypair() -> Tuple[int, bytes]:
-    exponent = int.from_bytes(os.urandom(32), "big")
-    public = pow(_DH_GENERATOR, exponent, _DH_PRIME)
-    return exponent, public.to_bytes(_DH_BYTES, "big")
-
-
-def _dh_shared(exponent: int, peer_public: bytes) -> int:
-    peer = int.from_bytes(peer_public, "big")
-    if not 2 <= peer <= _DH_PRIME - 2:
-        raise HandshakeError("degenerate DH public value from peer")
-    return pow(peer, exponent, _DH_PRIME)
 
 
 class FrameCipher:
@@ -218,19 +166,16 @@ class CipherPair:
 
     tx: FrameCipher
     rx: FrameCipher
-    authenticated: bool
 
 
 def _pair_for(keys: SessionKeys, side: str) -> CipherPair:
     if side == "client":
         return CipherPair(
             tx=FrameCipher(keys.c2w_enc, keys.c2w_mac),
-            rx=FrameCipher(keys.w2c_enc, keys.w2c_mac),
-            authenticated=keys.authenticated)
+            rx=FrameCipher(keys.w2c_enc, keys.w2c_mac))
     return CipherPair(
         tx=FrameCipher(keys.w2c_enc, keys.w2c_mac),
-        rx=FrameCipher(keys.c2w_enc, keys.c2w_mac),
-        authenticated=keys.authenticated)
+        rx=FrameCipher(keys.c2w_enc, keys.c2w_mac))
 
 
 class ServerHandshake:
@@ -245,19 +190,13 @@ class ServerHandshake:
         pair = hs.ciphers()
     """
 
-    def __init__(self, secret: Optional[bytes]):
+    def __init__(self, secret: bytes):
         self._secret = secret
         self._worker_nonce = os.urandom(NONCE_SIZE)
-        self._mode = MODE_SECRET if secret else MODE_ANON
-        self._dh_exponent: Optional[int] = None
-        self._dh_public = b""
-        if self._mode == MODE_ANON:
-            self._dh_exponent, self._dh_public = _dh_keypair()
         self._keys: Optional[SessionKeys] = None
 
     def banner(self) -> bytes:
-        return (MAGIC + bytes([self._mode]) + self._worker_nonce
-                + self._dh_public)
+        return MAGIC + bytes([MODE_SECRET]) + self._worker_nonce
 
     def verify(self, response: bytes) -> bytes:
         """Check the client response; returns the confirm frame."""
@@ -265,42 +204,23 @@ class ServerHandshake:
             raise HandshakeError(
                 "peer did not answer a v3 handshake (got %r...); a v2 "
                 "coordinator must be upgraded to v3" % response[:8])
-        if len(response) < 5 or response[4] != self._mode:
+        if len(response) < 5 or response[4] != MODE_SECRET:
             raise HandshakeError("peer answered handshake mode %r, "
                                  "expected %d"
-                                 % (response[4:5], self._mode))
-        rest = response[5:]
-        if len(rest) < NONCE_SIZE:
-            raise HandshakeError("malformed handshake response (%d "
-                                 "bytes)" % len(response))
-        client_nonce, rest = rest[:NONCE_SIZE], rest[NONCE_SIZE:]
-        if self._mode == MODE_SECRET:
-            assert self._secret is not None
-            if len(rest) != _DIGEST_SIZE:
-                raise HandshakeError("malformed auth response (%d "
-                                     "bytes)" % len(response))
-            expected = _proof(self._secret, _CLIENT_DOMAIN, self._mode,
-                              self._worker_nonce + client_nonce)
-            if not hmac.compare_digest(rest, expected):
-                raise HandshakeError(
-                    "client failed the shared-secret challenge")
-            master = _master_from_secret(self._secret, self._mode,
-                                         self._worker_nonce,
-                                         client_nonce)
-            self._keys = SessionKeys.from_master(master,
-                                                 authenticated=True)
-            return _proof(self._secret, _WORKER_DOMAIN, self._mode,
-                          client_nonce + self._worker_nonce)
-        if len(rest) != _DH_BYTES:
-            raise HandshakeError("malformed DH response (%d bytes)"
+                                 % (response[4:5], MODE_SECRET))
+        client_nonce = response[5:5 + NONCE_SIZE]
+        proof = response[5 + NONCE_SIZE:]
+        if len(client_nonce) != NONCE_SIZE or len(proof) != _DIGEST_SIZE:
+            raise HandshakeError("malformed auth response (%d bytes)"
                                  % len(response))
-        assert self._dh_exponent is not None
-        shared = _dh_shared(self._dh_exponent, rest)
-        master = _master_from_dh(shared, self._mode, self._worker_nonce,
-                                 client_nonce)
-        self._keys = SessionKeys.from_master(master, authenticated=False)
-        # prove we computed the same keys before any frame flows
-        return _derive(master, b"worker-confirm")
+        expected = _proof(self._secret, _CLIENT_DOMAIN,
+                          self._worker_nonce + client_nonce)
+        if not hmac.compare_digest(proof, expected):
+            raise HandshakeError("client failed the shared-secret challenge")
+        self._keys = SessionKeys.from_master(
+            _master(self._secret, self._worker_nonce, client_nonce))
+        return _proof(self._secret, _WORKER_DOMAIN,
+                      client_nonce + self._worker_nonce)
 
     def ciphers(self) -> CipherPair:
         assert self._keys is not None, "verify() must succeed first"
@@ -318,12 +238,11 @@ class ClientHandshake:
         pair = hs.ciphers()
     """
 
-    def __init__(self, secret: Optional[bytes]):
+    def __init__(self, secret: bytes):
         self._secret = secret
         self._client_nonce = os.urandom(NONCE_SIZE)
         self._keys: Optional[SessionKeys] = None
         self._expected_confirm = b""
-        self._mode = MODE_ANON
 
     def respond(self, banner: bytes) -> bytes:
         if banner[:4] != MAGIC:
@@ -333,58 +252,28 @@ class ClientHandshake:
         if len(banner) < 5 + NONCE_SIZE:
             raise HandshakeError("malformed v3 banner (%d bytes)"
                                  % len(banner))
-        self._mode = banner[4]
-        worker_nonce = banner[5:5 + NONCE_SIZE]
-        rest = banner[5 + NONCE_SIZE:]
-        if self._secret is not None and self._mode != MODE_SECRET:
-            # Downgrade refusal: when this side is configured with a
-            # secret, an unauthenticated banner means either a
-            # misconfigured worker or an impostor/MITM stripping the
-            # mode byte to dodge the challenge.  Never fall back to
-            # anonymous DH — that would send work to a peer that never
-            # proved anything.
+        if banner[4] != MODE_SECRET:
+            # Downgrade refusal: a banner in any other mode is an
+            # older open worker or an impostor/MITM stripping the mode
+            # byte to dodge the challenge.  Never ship work to a peer
+            # that proved nothing.
             raise HandshakeError(
-                "authentication downgrade refused: a shared secret is "
-                "configured but the worker offered an unauthenticated "
-                "(mode %d) handshake; start the worker with the same "
-                "--secret / KSPLICE_WORKER_SECRET" % self._mode)
-        if self._mode == MODE_SECRET:
-            if self._secret is None:
-                raise HandshakeError(
-                    "worker requires a shared secret; pass --secret or "
-                    "set KSPLICE_WORKER_SECRET")
-            proof = _proof(self._secret, _CLIENT_DOMAIN, self._mode,
-                           worker_nonce + self._client_nonce)
-            master = _master_from_secret(self._secret, self._mode,
-                                         worker_nonce,
-                                         self._client_nonce)
-            self._keys = SessionKeys.from_master(master,
-                                                 authenticated=True)
-            self._expected_confirm = _proof(
-                self._secret, _WORKER_DOMAIN, self._mode,
-                self._client_nonce + worker_nonce)
-            return (MAGIC + bytes([MODE_SECRET]) + self._client_nonce
-                    + proof)
-        if self._mode != MODE_ANON:
-            raise HandshakeError("unknown handshake mode %d"
-                                 % self._mode)
-        if len(rest) != _DH_BYTES:
-            raise HandshakeError("malformed DH banner (%d bytes)"
-                                 % len(banner))
-        exponent, public = _dh_keypair()
-        shared = _dh_shared(exponent, rest)
-        master = _master_from_dh(shared, self._mode, worker_nonce,
-                                 self._client_nonce)
-        self._keys = SessionKeys.from_master(master, authenticated=False)
-        self._expected_confirm = _derive(master, b"worker-confirm")
-        return MAGIC + bytes([MODE_ANON]) + self._client_nonce + public
+                "authentication downgrade refused: the worker offered "
+                "an unauthenticated (mode %d) handshake; start the "
+                "worker with the same --secret / KSPLICE_WORKER_SECRET"
+                % banner[4])
+        worker_nonce = banner[5:5 + NONCE_SIZE]
+        proof = _proof(self._secret, _CLIENT_DOMAIN,
+                       worker_nonce + self._client_nonce)
+        self._keys = SessionKeys.from_master(
+            _master(self._secret, worker_nonce, self._client_nonce))
+        self._expected_confirm = _proof(self._secret, _WORKER_DOMAIN,
+                                        self._client_nonce + worker_nonce)
+        return MAGIC + bytes([MODE_SECRET]) + self._client_nonce + proof
 
     def verify(self, confirm: bytes) -> None:
         if not hmac.compare_digest(confirm, self._expected_confirm):
-            if self._mode == MODE_SECRET:
-                raise HandshakeError(
-                    "worker failed to prove the shared secret")
-            raise HandshakeError("worker failed the key confirmation")
+            raise HandshakeError("worker failed to prove the shared secret")
 
     def ciphers(self) -> CipherPair:
         assert self._keys is not None, "verify() must succeed first"

@@ -13,10 +13,11 @@ Wire stack, bottom up:
 1. **Handshake** (cleartext, tightly bounded raw frames): the worker
    banners ``KSP3`` + mode; both sides run the
    :mod:`~repro.distributed.crypto` state machine — mutual HMAC proof
-   + secret-derived keys when a shared secret is configured, anonymous
-   DH otherwise.  A peer that fails is dropped before one data frame
-   is parsed.  v2 peers (pickle fabric) are rejected with an explicit
-   version-mismatch message on both sides.
+   of the shared secret, then secret-derived keys.  Every session
+   needs the secret: an endpoint without one raises :class:`AuthError`
+   before it sends or reads a byte.  A peer that fails is dropped
+   before one data frame is parsed.  v2 peers (pickle fabric) are
+   rejected with an explicit version-mismatch message on both sides.
 2. **Records**: ``!I`` length prefix + ciphertext + 16-byte tag.  A
    record's plaintext is a *batch*: one or more ``!I``-length-prefixed
    frames sealed together, so a pipelined burst pays one keystream and
@@ -106,6 +107,14 @@ def default_secret() -> Optional[bytes]:
     return value.encode("utf-8")
 
 
+def require_secret(secret: Optional[bytes]) -> bytes:
+    """``secret``; :class:`AuthError` when it is missing or empty."""
+    if not secret:
+        raise AuthError("the fabric requires a shared secret; pass "
+                        "--secret or set %s" % SECRET_ENV)
+    return secret
+
+
 def parse_address(address: str, allow_zero: bool = False) -> tuple:
     """``"host:port"`` -> ``(host, port)`` with validation.
 
@@ -181,20 +190,19 @@ def encode_message(message: Dict[str, Any], max_frame: int) -> bytes:
     return frame
 
 
-def _seal(frames, ciphers: Optional[CipherPair]) -> bytes:
+def _seal(frames, ciphers: CipherPair) -> bytes:
     plain = pack_batch(frames)
-    record = plain if ciphers is None else ciphers.tx.seal(plain)
+    record = ciphers.tx.seal(plain)
     return _RECORD_HEADER.pack(len(record)) + record
 
 
-def seal_records(frames, ciphers: Optional[CipherPair],
+def seal_records(frames, ciphers: CipherPair,
                  max_frame: int) -> bytes:
     """Frames -> length-prefixed sealed records, ready to write.
 
     Consecutive frames share a record up to ``BATCH_FRAMES`` frames or
     ``max_frame`` frame bytes, which is what :func:`record_length`
-    allows a peer to claim.  ``ciphers=None`` leaves records in
-    plaintext (a trusted local socketpair).
+    allows a peer to claim.
     """
     records = []
     batch: list = []
@@ -222,11 +230,11 @@ def record_length(header: bytes, max_frame: int) -> int:
     return length
 
 
-def open_record(record: bytes, ciphers: Optional[CipherPair],
+def open_record(record: bytes, ciphers: CipherPair,
                 max_frame: int) -> list:
     """Authenticate one record's body and decode it into messages."""
     try:
-        blob = record if ciphers is None else ciphers.rx.open(record)
+        blob = ciphers.rx.open(record)
     except FrameAuthError as exc:
         raise ProtocolError(str(exc))
     try:
@@ -254,23 +262,6 @@ def handshake_length(header: bytes) -> int:
         raise AuthError("pre-auth frame claims %d bytes (max %d)"
                         % (length, MAX_HANDSHAKE_FRAME))
     return length
-
-
-def client_ciphers(handshake: ClientHandshake,
-                   secret: Optional[bytes]) -> CipherPair:
-    """A finished client handshake's session keys.
-
-    Raises :class:`AuthError` when a secret is configured but the
-    session is not authenticated.  Unreachable while
-    :class:`ClientHandshake` refuses downgrades, but a secret-configured
-    client must never ship work over an unauthenticated session
-    regardless of handshake internals.
-    """
-    ciphers = handshake.ciphers()
-    if secret is not None and not ciphers.authenticated:
-        raise AuthError("handshake completed without authentication "
-                        "despite a configured secret")
-    return ciphers
 
 
 # --------------------------------------------------------------------------
@@ -305,9 +296,8 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
 class MessageStream:
     """One side of an established v3 session over a blocking socket.
 
-    Created by :func:`connect_stream` / :func:`accept_stream` (which
-    run the handshake) or directly with ``ciphers=None`` for plaintext
-    records over a trusted local socketpair (tests).
+    Created by :func:`connect_stream` / :func:`accept_stream`, which
+    run the handshake and hand over its session ciphers.
 
     The reader keeps partial records in a buffer across
     ``socket.timeout`` raises — a heartbeat timeout mid-frame does not
@@ -317,7 +307,7 @@ class MessageStream:
     """
 
     def __init__(self, sock: socket.socket,
-                 ciphers: Optional[CipherPair] = None,
+                 ciphers: CipherPair,
                  max_frame: int = MAX_FRAME):
         self.sock = sock
         self.ciphers = ciphers
@@ -367,7 +357,7 @@ def accept_stream(sock: socket.socket, secret: Optional[bytes],
     Raises :class:`AuthError` (caller drops the connection) before any
     data frame has been touched.
     """
-    handshake = ServerHandshake(secret)
+    handshake = ServerHandshake(require_secret(secret))
     try:
         send_raw(sock, handshake.banner())
         confirm = handshake.verify(recv_raw(sock))
@@ -381,12 +371,12 @@ def connect_stream(sock: socket.socket, secret: Optional[bytes],
                    max_frame: int = MAX_FRAME) -> MessageStream:
     """Client side: run the v3 handshake, return the session channel.
 
-    Raises :class:`AuthError` when the worker demands a secret we do
-    not have, when our secret is rejected (connection closed mid-
+    Raises :class:`AuthError` before a byte moves when ``secret`` is
+    missing, and when our secret is rejected (connection closed mid-
     handshake), when the worker cannot prove *it* knows the secret, or
     when the peer speaks protocol v2.
     """
-    handshake = ClientHandshake(secret)
+    handshake = ClientHandshake(require_secret(secret))
     try:
         send_raw(sock, handshake.respond(recv_raw(sock)))
         try:
@@ -397,7 +387,7 @@ def connect_stream(sock: socket.socket, secret: Optional[bytes],
         handshake.verify(confirm)
     except HandshakeError as exc:
         raise AuthError(str(exc))
-    return MessageStream(sock, client_ciphers(handshake, secret),
+    return MessageStream(sock, handshake.ciphers(),
                          max_frame=max_frame)
 
 

@@ -24,10 +24,10 @@ what makes the coordinator's per-CVE work-stealing split cheap.
 
 Hardening knobs:
 
-* ``secret`` (CLI ``--secret`` / env ``KSPLICE_WORKER_SECRET``) selects
-  the mutual-HMAC handshake mode; without one the session still key-
-  exchanges (anonymous DH) so every data frame is encrypted either way.
-  Unauthenticated peers are dropped before one data frame is decoded.
+* ``secret`` (CLI ``--secret`` / env ``KSPLICE_WORKER_SECRET``) is
+  required: a worker without one refuses to start.  Every peer must
+  prove it in the mutual-HMAC handshake, and one that does not is
+  dropped before one data frame is decoded.
 * ``item_timeout`` bounds each item's wall clock.  A thread cannot be
   killed, so on timeout the worker *abandons* the evaluation, answers
   with a reasoned ``error`` frame, and moves on; late ``result`` frames
@@ -39,7 +39,8 @@ Hardening knobs:
 ``spawn_local_workers`` forks workers on ephemeral localhost ports for
 tests, benchmarks, and the CI smoke job; each child starts with cold
 memory tiers (anything inherited from the parent is dropped) so a
-spawned pool behaves like freshly started remote hosts.
+spawned pool behaves like freshly started remote hosts, and shares a
+secret with the spawning process so its clients authenticate.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from __future__ import annotations
 import asyncio
 import os
 import reprlib
-import socket
 import time
 import traceback
 from dataclasses import dataclass
@@ -277,62 +277,6 @@ class _Session:
                                 "item_id": item_id, "report": report})
 
 
-async def serve_async(host: str = "127.0.0.1", port: int = 0,
-                      once: bool = False,
-                      ready: Optional[Callable[[str, int], None]] = None,
-                      fail_after_items: Optional[int] = None,
-                      secret: Optional[bytes] = None,
-                      item_timeout: Optional[float] = None,
-                      wedge_seconds: Optional[float] = None,
-                      max_frame: int = MAX_FRAME) -> None:
-    """The worker's accept loop on the running event loop.
-
-    One loop multiplexes every coordinator session; see :func:`serve`
-    for the knob semantics.  ``secret`` here is already normalized
-    (``None`` means an open worker with anonymous key exchange).
-    """
-    done = asyncio.Event()
-
-    async def handle(reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            channel = await aio.accept_channel(reader, writer, secret,
-                                               max_frame=max_frame)
-        except (AuthError, ProtocolError, ConnectionError, OSError,
-                asyncio.IncompleteReadError):
-            # drop the peer: nothing past the handshake was decoded
-            try:
-                writer.close()
-            except OSError:
-                pass
-            return
-        try:
-            await _Session(channel,
-                           fail_after_items=fail_after_items,
-                           item_timeout=item_timeout,
-                           wedge_seconds=wedge_seconds).run()
-        finally:
-            await channel.close()
-            if once:
-                done.set()
-
-    server = await asyncio.start_server(handle, host, port)
-    bound_host, bound_port = server.sockets[0].getsockname()[:2]
-    if ready is not None:
-        ready(bound_host, bound_port)
-    try:
-        if once:
-            await done.wait()
-        else:
-            await server.serve_forever()
-    finally:
-        server.close()
-        await server.wait_closed()
-
-
 def serve(host: str = "127.0.0.1", port: int = 0, once: bool = False,
           ready: Optional[Callable[[str, int], None]] = None,
           fail_after_items: Optional[int] = None,
@@ -342,26 +286,61 @@ def serve(host: str = "127.0.0.1", port: int = 0, once: bool = False,
           max_frame: int = MAX_FRAME) -> None:
     """Listen on ``host:port`` and serve coordinator sessions forever.
 
-    ``port=0`` binds an ephemeral port; ``ready`` (if given) receives
-    the bound ``(host, port)`` before the accept loop starts — how
-    spawned workers report their address.  ``once`` exits after the
-    first session (used by tests and the CLI's ``--once``).
+    One event loop multiplexes every coordinator session.  ``port=0``
+    binds an ephemeral port; ``ready`` (if given) receives the bound
+    ``(host, port)`` before the accept loop starts — how spawned
+    workers report their address.  ``once`` exits after the first
+    session (used by tests and the CLI's ``--once``).
     ``fail_after_items`` makes the process exit abruptly upon receiving
     its Nth item — fault injection for the retry tests — and
     ``wedge_seconds`` stalls every item, fault injection for the
     ``item_timeout`` budget.  ``secret=None`` falls back to
-    ``KSPLICE_WORKER_SECRET``; pass ``b""`` to force an open worker.
-    ``max_frame`` bounds every session frame in both directions.
+    ``KSPLICE_WORKER_SECRET``; with neither, :class:`AuthError` is
+    raised before anything listens.  ``max_frame`` bounds every session
+    frame in both directions.
     """
-    if secret is None:
-        secret = protocol.default_secret()
-    elif not secret:
-        secret = None
-    asyncio.run(serve_async(host=host, port=port, once=once, ready=ready,
-                            fail_after_items=fail_after_items,
-                            secret=secret, item_timeout=item_timeout,
-                            wedge_seconds=wedge_seconds,
-                            max_frame=max_frame))
+    secret = protocol.require_secret(secret or protocol.default_secret())
+
+    async def accept_loop() -> None:
+        done = asyncio.Event()
+
+        async def handle(reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> None:
+            try:
+                channel = await aio.accept_channel(reader, writer, secret,
+                                                   max_frame=max_frame)
+            except (AuthError, ProtocolError, ConnectionError, OSError,
+                    asyncio.IncompleteReadError):
+                # drop the peer: nothing past the handshake was decoded
+                try:
+                    writer.close()
+                except OSError:
+                    pass
+                return
+            try:
+                await _Session(channel,
+                               fail_after_items=fail_after_items,
+                               item_timeout=item_timeout,
+                               wedge_seconds=wedge_seconds).run()
+            finally:
+                await channel.close()
+                if once:
+                    done.set()
+
+        server = await asyncio.start_server(handle, host, port)
+        bound_host, bound_port = server.sockets[0].getsockname()[:2]
+        if ready is not None:
+            ready(bound_host, bound_port)
+        try:
+            if once:
+                await done.wait()
+            else:
+                await server.serve_forever()
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(accept_loop())
 
 
 # -- localhost spawning (tests, benchmarks, CI smoke) -----------------------
@@ -392,7 +371,7 @@ class LocalWorker:
 
 
 def _serve_child(conn, fail_after_items: Optional[int],
-                 secret: Optional[bytes] = None,
+                 secret: bytes,
                  item_timeout: Optional[float] = None,
                  wedge_seconds: Optional[float] = None) -> None:
     _reset_process_caches()
@@ -402,7 +381,7 @@ def _serve_child(conn, fail_after_items: Optional[int],
         conn.close()
 
     serve(ready=report, fail_after_items=fail_after_items,
-          secret=secret if secret is not None else b"",
+          secret=secret,
           item_timeout=item_timeout, wedge_seconds=wedge_seconds)
 
 
@@ -418,13 +397,19 @@ def spawn_local_workers(count: int,
     the returned handles are ready to be passed (``.address``) straight
     to ``evaluate_corpus(workers=...)``.  ``fail_after_items`` applies
     to every spawned worker (tests usually spawn the faulty one
-    separately); ``secret``/``item_timeout``/``wedge_seconds`` likewise
-    (spawned children deliberately ignore the parent's
-    ``KSPLICE_WORKER_SECRET`` so tests control auth explicitly).
-    Callers own cleanup: ``worker.stop()`` each handle.
+    separately); ``secret``/``item_timeout``/``wedge_seconds`` likewise.
+    Without ``secret`` the children take ``KSPLICE_WORKER_SECRET`` or,
+    when it is unset, a generated per-run secret that is exported to
+    it, so this process's coordinator, remote-rollout client and
+    control plane authenticate with no further setup.  Callers own
+    cleanup: ``worker.stop()`` each handle.
     """
     import multiprocessing
 
+    secret = secret or protocol.default_secret()
+    if not secret:
+        secret = os.urandom(16).hex().encode("ascii")
+        os.environ[protocol.SECRET_ENV] = secret.decode("ascii")
     workers: List[LocalWorker] = []
     try:
         for _ in range(count):

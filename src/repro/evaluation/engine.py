@@ -374,14 +374,15 @@ def _evaluate_distributed(specs: Sequence[CveSpec], run_stress: bool,
     steals a version's remaining CVEs onto idle workers once its lead
     has warmed the run-build cache, retries items lost with dead
     workers, and rescues any remainder in-process.  ``None`` is
-    returned only when no worker answered the handshake or the specs
-    cannot cross the v3 wire — the caller then walks the same
-    fallback chain the local pool uses.
+    returned only when no shared secret is configured, no worker
+    answered the handshake or the specs cannot cross the v3 wire — the
+    caller then walks the same fallback chain the local pool uses.
     """
-    from repro.distributed import Coordinator, ProtocolError
+    from repro.distributed import Coordinator, ProtocolError, protocol
 
     try:
         coordinator = Coordinator(workers)
+        protocol.require_secret(protocol.default_secret())
     except ProtocolError as exc:
         stats.fallback_reason = str(exc)
         return None

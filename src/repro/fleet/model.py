@@ -149,12 +149,6 @@ class RolloutPlan:
     def rollout_id(self) -> str:
         return "rollout-%s-n%d" % (self.cve_id, self.fleet_size)
 
-    def member_name(self, index: int) -> str:
-        """Registry id behind a fleet index (``member-N`` when none)."""
-        if self.member_ids and 0 <= index < len(self.member_ids):
-            return self.member_ids[index]
-        return "member-%d" % index
-
     def wave_sizes(self) -> List[int]:
         """Deterministic wave schedule: canary, then exponential."""
         sizes: List[int] = []

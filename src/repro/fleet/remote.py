@@ -7,8 +7,8 @@ fabric uses.  Instead the *whole rollout* ships as one work item
 the fleet, runs the waves, streams one ``result`` frame per finished
 wave (so the coordinator side sees canary progress live), and returns
 the full report dict in the ``item-done`` frame.  The connection uses
-the same authenticated handshake as evaluation traffic — a secret-
-protected worker runs rollouts only for peers that prove the secret.
+the same authenticated handshake as evaluation traffic — a worker runs
+rollouts only for peers that prove its shared secret.
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ def run_remote_rollout(
         ) -> RolloutReport:
     """Client side: run ``plan`` on the worker at ``host:port``.
 
-    Raises :class:`RolloutError` when the worker reports a failure and
-    lets :class:`~repro.distributed.protocol.AuthError` /
-    :class:`ProtocolError` propagate for connection-level problems.
+    ``secret=None`` reads ``KSPLICE_WORKER_SECRET``; with neither,
+    :class:`~repro.distributed.protocol.AuthError` is raised before any
+    socket opens.  Raises :class:`RolloutError` when the worker reports
+    a failure and lets ``AuthError`` / :class:`ProtocolError` propagate
+    for connection-level problems.
     """
     host, port = protocol.parse_address(address)
-    if secret is None:
-        secret = protocol.default_secret()
+    secret = protocol.require_secret(secret or protocol.default_secret())
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

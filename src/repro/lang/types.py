@@ -102,9 +102,6 @@ class StructType(Type):
                 return ftype
         raise CompileError("struct %s has no field %r" % (self.tag, name))
 
-    def has_field(self, name: str) -> bool:
-        return any(fname == name for fname, _ in self.fields)
-
     def __str__(self) -> str:
         return "struct %s" % self.tag
 

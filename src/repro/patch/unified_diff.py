@@ -79,12 +79,6 @@ class Patch:
     def changed_paths(self) -> List[str]:
         return [fp.path for fp in self.files]
 
-    def file_patch(self, path: str) -> Optional[FilePatch]:
-        for fp in self.files:
-            if fp.path == path:
-                return fp
-        return None
-
     def added(self) -> int:
         return sum(fp.added() for fp in self.files)
 

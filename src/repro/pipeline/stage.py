@@ -92,9 +92,6 @@ class StageReport:
         for child in self.children:
             yield from child.walk(path + "/")
 
-    def total_ms(self) -> float:
-        return self.wall_ms
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,

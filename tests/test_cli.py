@@ -316,3 +316,24 @@ def test_fleet_status_corrupt_persistence_is_usage_error(
 
     assert main(["fleet", "rollback"]) == 2
     assert "no rollout recorded" in capsys.readouterr().err
+
+
+def test_worker_without_a_secret_is_a_usage_error():
+    """`repro worker` with neither --secret nor KSPLICE_WORKER_SECRET
+    refuses to start: exit 2 and one error line, not a traceback."""
+    import os
+    import subprocess
+    import sys
+
+    env = {k: v for k, v in os.environ.items()
+           if k != "KSPLICE_WORKER_SECRET"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..",
+                                     "src")
+    child = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "worker", "--listen",
+         "127.0.0.1:0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 2
+    assert child.stderr.startswith("error:")
+    assert "--secret" in child.stderr
+    assert "Traceback" not in child.stderr

@@ -29,6 +29,17 @@ from repro.evaluation import (
     normalize_result,
 )
 from repro.evaluation.engine import EngineStats, _group_by_version
+from repro.evaluation.harness import CveResult
+
+SECRET = b"fabric-test-secret"
+
+
+def _pairs():
+    """Client and worker cipher pairs of one session."""
+    from repro.distributed.crypto import SessionKeys, _pair_for
+
+    keys = SessionKeys.from_master(b"m" * 32)
+    return _pair_for(keys, "client"), _pair_for(keys, "worker")
 
 
 @pytest.fixture(autouse=True)
@@ -63,11 +74,12 @@ def sequential_results():
 
 
 def test_message_roundtrip_over_socketpair():
+    client, worker = _pairs()
     left, right = socket.socketpair()
     try:
         message = {"type": "item", "specs": [1, 2, 3], "blob": b"x" * 1000}
-        protocol.MessageStream(left).send(message)
-        receiver = protocol.MessageStream(right)
+        protocol.MessageStream(left, client).send(message)
+        receiver = protocol.MessageStream(right, worker)
         assert receiver.recv() == message
         left.close()
         assert receiver.recv() is None  # clean EOF
@@ -81,7 +93,7 @@ def test_oversized_frame_is_rejected_before_allocation():
         header = (protocol.MAX_FRAME + 4096).to_bytes(4, "big")
         left.sendall(header)
         with pytest.raises(ProtocolError):
-            protocol.MessageStream(right).recv()
+            protocol.MessageStream(right, _pairs()[1]).recv()
     finally:
         left.close()
         right.close()
@@ -90,16 +102,15 @@ def test_oversized_frame_is_rejected_before_allocation():
 def test_message_stream_survives_timeout_mid_frame():
     """A heartbeat timeout mid-frame must not desynchronize the wire."""
     from repro.distributed import wire
-    from repro.distributed.protocol import pack_batch
 
+    client, worker = _pairs()
     left, right = socket.socketpair()
     try:
-        stream = protocol.MessageStream(right)
+        stream = protocol.MessageStream(right, worker)
         frame = wire.encode_frame({"type": "item", "item_id": 7,
                                    "blob": b"y" * 4096})
         expected = wire.decode_frame(frame)
-        record = pack_batch([frame])
-        buf = len(record).to_bytes(4, "big") + record
+        buf = protocol.seal_records([frame], client, protocol.MAX_FRAME)
         right.settimeout(0.05)
         left.sendall(buf[:100])  # first fragment only
         with pytest.raises(socket.timeout):
@@ -142,7 +153,7 @@ def test_bracketed_ipv6_address_connects():
     def fake_worker(listener):
         sock, _ = listener.accept()
         with sock:
-            stream = protocol.accept_stream(sock, None)
+            stream = protocol.accept_stream(sock, SECRET)
             received["message"] = stream.recv()
 
     listener = socket.socket(socket.AF_INET6)
@@ -155,7 +166,7 @@ def test_bracketed_ipv6_address_connects():
         address = "[::1]:%d" % listener.getsockname()[1]
         with socket.create_connection(parse_address(address),
                                       timeout=10.0) as sock:
-            protocol.connect_stream(sock, None).send(
+            protocol.connect_stream(sock, SECRET).send(
                 {"type": protocol.SHUTDOWN})
         thread.join(timeout=10.0)
     finally:
@@ -164,12 +175,13 @@ def test_bracketed_ipv6_address_connects():
     assert received["message"] == {"type": protocol.SHUTDOWN}
 
 
-def test_version_mismatch_rejected_at_handshake():
+def test_version_mismatch_rejected_at_handshake(monkeypatch):
+    monkeypatch.setenv(protocol.SECRET_ENV, SECRET.decode())
     done = {}
 
     def fake_worker(listener):
         sock, _ = listener.accept()
-        stream = protocol.accept_stream(sock, None)
+        stream = protocol.accept_stream(sock, SECRET)
         hello = stream.recv()
         done["version"] = hello["version"]
         stream.send({"type": protocol.ERROR,
@@ -195,16 +207,19 @@ def test_version_mismatch_rejected_at_handshake():
     assert done["version"] == protocol.PROTOCOL_VERSION
 
 
-def test_stale_error_frame_does_not_fail_inflight_item():
+def test_stale_error_frame_does_not_fail_inflight_item(monkeypatch):
     """An ERROR stamped with a *retired* item_id — a zombie thread from
     a previously abandoned item reporting late — must be discarded like
     stale results, not fail the item currently in flight."""
-    fake_result = {"ok": True}
+    monkeypatch.setenv(protocol.SECRET_ENV, SECRET.decode())
+    spec = _slice(1)[0]
+    fake_result = CveResult(cve_id=spec.cve_id,
+                            kernel_version=spec.kernel_version)
 
     def fake_worker(listener):
         sock, _ = listener.accept()
         sock.settimeout(10.0)
-        stream = protocol.accept_stream(sock, None)
+        stream = protocol.accept_stream(sock, SECRET)
         assert stream.recv()["type"] == protocol.HELLO
         stream.send({"type": protocol.READY,
                      "version": protocol.PROTOCOL_VERSION})
@@ -241,6 +256,72 @@ def test_stale_error_frame_does_not_fail_inflight_item():
     assert results == [fake_result]
     assert stats.retries == 0  # the stale error cost nothing
     assert stats.local_rescues == 0
+
+
+def _refusable_result_cases():
+    spec = CORPUS[0]
+    return [
+        (0, CacheStats(hits=1)),
+        (0, CveResult(cve_id="CVE-0000-0000",
+                      kernel_version=spec.kernel_version)),
+        (7, CveResult(cve_id=spec.cve_id,
+                      kernel_version=spec.kernel_version)),
+    ]
+
+
+@pytest.mark.parametrize("offset, result", _refusable_result_cases(),
+                         ids=["cache-stats", "foreign-cve",
+                              "offset-past-item"])
+def test_malformed_result_fails_the_item_on_that_peer(monkeypatch, offset,
+                                                      result):
+    """A ``result`` frame is stored only when its offset indexes the
+    item in flight and its value is that spec's ``CveResult``; anything
+    else fails the item on that peer, which is then rescued exactly as
+    when a worker dies."""
+    monkeypatch.setenv(protocol.SECRET_ENV, SECRET.decode())
+    specs = CORPUS[:1]
+    sequential = [normalize_result(r)
+                  for r in evaluate_corpus(specs, run_stress=False).results]
+
+    def fake_worker(listener):
+        sock, _ = listener.accept()
+        listener.close()  # reconnects are refused
+        sock.settimeout(10.0)
+        try:
+            stream = protocol.accept_stream(sock, SECRET)
+            assert stream.recv()["type"] == protocol.HELLO
+            stream.send({"type": protocol.READY,
+                         "version": protocol.PROTOCOL_VERSION})
+            item = stream.recv()
+            stream.send({"type": protocol.RESULT,
+                         "item_id": item["item_id"], "offset": offset,
+                         "result": result})
+            stream.send({"type": protocol.ITEM_DONE,
+                         "item_id": item["item_id"]})
+            while stream.recv() is not None:
+                pass
+        except (ConnectionError, OSError, ProtocolError):
+            pass  # the coordinator dropped us
+        finally:
+            sock.close()
+
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    port = listener.getsockname()[1]
+    thread = threading.Thread(target=fake_worker, args=(listener,),
+                              daemon=True)
+    thread.start()
+    stats = EngineStats()
+    try:
+        report = evaluate_corpus(specs, run_stress=False, stats=stats,
+                                 workers=["127.0.0.1:%d" % port])
+    finally:
+        thread.join(timeout=10.0)
+        listener.close()
+    assert [normalize_result(r) for r in report.results] == sequential
+    assert not stats.fell_back
+    assert stats.local_rescues == 1
 
 
 # -- end-to-end over spawned localhost workers ------------------------------
@@ -307,12 +388,38 @@ def test_whole_fleet_dead_degrades_to_local_rescue(sequential_results):
     assert stats.local_rescues == len(_slice())
 
 
-def test_no_workers_reachable_falls_back(sequential_results):
+def test_no_workers_reachable_falls_back(sequential_results, monkeypatch):
+    monkeypatch.setenv(protocol.SECRET_ENV, SECRET.decode())
     stats = EngineStats()
     report = evaluate_corpus(_slice(), run_stress=False, stats=stats,
                              workers=["127.0.0.1:9", "127.0.0.1:10"])
     assert stats.fell_back
     assert "no workers reachable" in stats.fallback_reason
+    assert [normalize_result(r) for r in report.results] == \
+        sequential_results
+
+
+def test_missing_secret_falls_back_before_connecting(sequential_results,
+                                                     monkeypatch):
+    """With no shared secret the coordinator opens no socket: the run
+    falls back locally and the reason names both ways to set one."""
+    monkeypatch.delenv(protocol.SECRET_ENV, raising=False)
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    stats = EngineStats()
+    try:
+        report = evaluate_corpus(
+            _slice(), run_stress=False, stats=stats,
+            workers=["127.0.0.1:%d" % listener.getsockname()[1]])
+        listener.settimeout(0.2)
+        with pytest.raises(socket.timeout):
+            listener.accept()  # nobody connected
+    finally:
+        listener.close()
+    assert stats.fell_back
+    assert "--secret" in stats.fallback_reason
+    assert protocol.SECRET_ENV in stats.fallback_reason
     assert [normalize_result(r) for r in report.results] == \
         sequential_results
 
@@ -350,7 +457,7 @@ def test_bad_worker_address_falls_back():
 def _open_session(worker, disk_cache=None):
     sock = socket.create_connection((worker.host, worker.port),
                                     timeout=120.0)
-    stream = protocol.connect_stream(sock, None)
+    stream = protocol.connect_stream(sock, protocol.default_secret())
     stream.send({"type": protocol.HELLO,
                  "version": protocol.PROTOCOL_VERSION,
                  "disk_cache": disk_cache})

@@ -38,9 +38,9 @@ def _connect(worker):
 
 
 def test_unauthenticated_peer_dropped_before_any_decode():
-    """A client with no secret is rejected during the handshake —
-    the worker never decodes a data frame from it — and the worker
-    stays up for properly authenticated peers."""
+    """A client with no secret stops before the handshake sends a
+    byte — the worker never decodes a data frame from it — and the
+    worker stays up for properly authenticated peers."""
     workers = spawn_local_workers(1, secret=SECRET)
     try:
         sock = _connect(workers[0])
@@ -110,17 +110,14 @@ def test_client_detects_impostor_worker():
 
 
 def test_client_refuses_anonymous_downgrade():
-    """A client configured with a secret must refuse a worker (or a
-    MITM rewriting the banner's mode byte) that offers an
-    unauthenticated handshake — never silently fall back to anonymous
-    DH and ship work to a peer that proved nothing."""
-    from repro.distributed.crypto import ServerHandshake
+    """A client must refuse a worker (or a MITM rewriting the banner's
+    mode byte) that offers an unauthenticated handshake — never ship
+    work to a peer that proved nothing."""
 
-    def impostor(server):
+    def impostor(server, banner):
         conn, _ = server.accept()
         with conn:
-            handshake = ServerHandshake(None)  # anonymous-mode banner
-            protocol.send_raw(conn, handshake.banner())
+            protocol.send_raw(conn, banner)
             try:
                 protocol.recv_raw(conn)  # client hangs up instead
             except (ConnectionError, OSError, ProtocolError):
@@ -128,23 +125,109 @@ def test_client_refuses_anonymous_downgrade():
 
     import threading
 
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    thread = threading.Thread(target=impostor, args=(server,),
-                              daemon=True)
-    thread.start()
-    try:
-        sock = socket.create_connection(server.getsockname(), timeout=10)
-        sock.settimeout(10.0)
+    # An open-worker banner: magic, mode byte 0 and a 16-byte nonce,
+    # with and without the 256-byte DH public older workers appended.
+    for trailer in (b"\x05" * 256, b""):
+        banner = b"KSP3" + bytes([0]) + b"\x01" * 16 + trailer
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        thread = threading.Thread(target=impostor, args=(server, banner),
+                                  daemon=True)
+        thread.start()
         try:
-            with pytest.raises(AuthError, match="downgrade"):
-                protocol.connect_stream(sock, SECRET)
+            sock = socket.create_connection(server.getsockname(),
+                                            timeout=10)
+            sock.settimeout(10.0)
+            try:
+                with pytest.raises(AuthError, match="downgrade"):
+                    protocol.connect_stream(sock, SECRET)
+            finally:
+                sock.close()
+        finally:
+            server.close()
+            thread.join(5.0)
+
+
+def test_missing_secret_is_refused_before_any_socket_opens(monkeypatch):
+    """No client opens a session without a secret: ``connect_channel``
+    and ``run_remote_rollout`` raise AuthError naming ``--secret``
+    before connecting, and ``connect_stream`` on a connected socket
+    raises it without sending a byte."""
+    from repro.distributed import aio
+
+    monkeypatch.delenv(protocol.SECRET_ENV, raising=False)
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    host, port = listener.getsockname()
+    try:
+        with pytest.raises(AuthError, match="--secret"):
+            asyncio.run(aio.connect_channel(host, port, None))
+        with pytest.raises(AuthError, match="--secret"):
+            run_remote_rollout("%s:%d" % (host, port),
+                               RolloutPlan(cve_id="CVE-2006-2451",
+                                           fleet_size=1))
+        listener.settimeout(0.2)
+        with pytest.raises(socket.timeout):
+            listener.accept()  # nobody connected
+    finally:
+        listener.close()
+
+    left, right = socket.socketpair()
+    try:
+        left.settimeout(5.0)
+        with pytest.raises(AuthError, match="--secret"):
+            protocol.connect_stream(left, None)
+        right.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            right.recv(1)  # nothing was sent
+    finally:
+        left.close()
+        right.close()
+
+
+def test_worker_refuses_to_start_without_a_secret(monkeypatch):
+    from repro.distributed import serve
+
+    monkeypatch.delenv(protocol.SECRET_ENV, raising=False)
+
+    def listening(host, port):
+        pytest.fail("worker listened without a secret")
+
+    with pytest.raises(AuthError, match="--secret"):
+        serve(port=0, once=True, ready=listening)
+
+
+def test_spawned_workers_authenticate_with_a_generated_secret(
+        monkeypatch):
+    """With no secret anywhere, spawning exports a generated one: a
+    coordinator in this process then evaluates exactly like a
+    sequential run, and a client holding another secret is refused."""
+    from repro.evaluation import CORPUS, normalize_result
+
+    monkeypatch.delenv(protocol.SECRET_ENV, raising=False)
+    specs = CORPUS[:2]
+    sequential = evaluate_corpus(specs, run_stress=False)
+    workers = spawn_local_workers(1)
+    stats = EngineStats()
+    try:
+        generated = protocol.default_secret()
+        assert generated
+        report = evaluate_corpus(specs, run_stress=False, stats=stats,
+                                 workers=[workers[0].address])
+        sock = _connect(workers[0])
+        try:
+            with pytest.raises(AuthError):
+                protocol.connect_stream(sock, b"not-" + generated)
         finally:
             sock.close()
     finally:
-        server.close()
-        thread.join(5.0)
+        workers[0].stop()
+    assert not stats.fell_back
+    assert stats.workers == 1
+    assert [normalize_result(r) for r in report.results] == \
+        [normalize_result(r) for r in sequential.results]
 
 
 def test_authenticated_evaluation_matches_open(monkeypatch):
@@ -166,8 +249,8 @@ def test_authenticated_evaluation_matches_open(monkeypatch):
 
 
 def test_secret_worker_open_coordinator_falls_back(monkeypatch):
-    """An auth rejection looks like an unreachable worker: the run
-    still completes, locally, with the reason recorded."""
+    """A coordinator without the worker's secret never connects: the
+    run still completes, locally, with the reason recorded."""
     monkeypatch.delenv(protocol.SECRET_ENV, raising=False)
     from repro.evaluation import CORPUS
 
@@ -248,14 +331,19 @@ def test_oversize_frame_drops_peer_post_handshake():
     """max_frame binds *after* the handshake too: a session frame
     larger than the configured cap is a ProtocolError on the sender
     and, wire-injected, on the receiver."""
+    from repro.distributed.crypto import SessionKeys, _pair_for
+
+    keys = SessionKeys.from_master(b"m" * 32)
     left, right = socket.socketpair()
     try:
-        sender = protocol.MessageStream(left, max_frame=1024)
+        sender = protocol.MessageStream(left, _pair_for(keys, "client"),
+                                        max_frame=1024)
         with pytest.raises(ProtocolError, match="exceeds the session"):
             sender.send({"type": "item", "blob": b"z" * 2048})
         # Receiver side: a forged record header over the cap is
         # rejected before any allocation or decode.
-        receiver = protocol.MessageStream(right, max_frame=1024)
+        receiver = protocol.MessageStream(right, _pair_for(keys, "worker"),
+                                          max_frame=1024)
         left.sendall((1024 + 4096).to_bytes(4, "big"))
         with pytest.raises(ProtocolError, match="dropping the peer"):
             receiver.recv()

@@ -203,7 +203,7 @@ def test_batch_roundtrip(frames):
 
 
 def _pair():
-    keys = SessionKeys.from_master(b"m" * 32, authenticated=True)
+    keys = SessionKeys.from_master(b"m" * 32)
     from repro.distributed.crypto import _pair_for
 
     return _pair_for(keys, "client"), _pair_for(keys, "worker")
@@ -231,6 +231,47 @@ def test_tampered_record_is_rejected(plaintext, index, byte):
         worker.rx.open(bytes(record))
 
 
+def test_secret_session_transcript_is_pinned(monkeypatch):
+    """A secret-mode session keeps its exact wire bytes: the mode byte
+    stays bound into every proof and into the master key, so a peer
+    from an earlier v3 release with the same secret interoperates."""
+    import hashlib
+
+    from repro.distributed import crypto
+
+    secret = b"transcript-secret"
+    monkeypatch.setattr(crypto.os, "urandom", lambda size: b"\x01" * 16)
+    server = crypto.ServerHandshake(secret)
+    monkeypatch.setattr(crypto.os, "urandom", lambda size: b"\x02" * 16)
+    client = crypto.ClientHandshake(secret)
+    banner = server.banner()
+    response = client.respond(banner)
+    confirm = server.verify(response)
+    client.verify(confirm)
+    hello = {"type": "hello", "version": 3, "disk_cache": None}
+    record = protocol.seal_records(
+        [protocol.encode_message(hello, protocol.MAX_FRAME)],
+        client.ciphers(), protocol.MAX_FRAME)
+    digests = {name: (len(blob), hashlib.sha256(blob).hexdigest())
+               for name, blob in (("banner", banner),
+                                  ("response", response),
+                                  ("confirm", confirm),
+                                  ("record", record))}
+    assert digests == {
+        "banner": (21, "a194b063c307fac6f041a4e517f52019"
+                       "e4c0de1cf3a28ed08a6466a555038e2f"),
+        "response": (53, "376db46d324f8a621c18baae21acc075"
+                         "56504c1292b0cb6e812eae909ad316ff"),
+        "confirm": (32, "461f3c3498af7c1b46267d67220d9148"
+                        "9bdca770948a407efd536cd047bbf662"),
+        "record": (58, "db1eeba455e8ad225d04ab86ac53d8dd"
+                       "b3796cd8a8a7569c81a557e12a175b79"),
+    }
+    assert protocol.open_record(record[protocol.HEADER_SIZE:],
+                                server.ciphers(),
+                                protocol.MAX_FRAME) == [hello]
+
+
 def test_replayed_record_is_rejected():
     client, worker = _pair()
     record = client.tx.seal(b"only once")
@@ -240,17 +281,16 @@ def test_replayed_record_is_rejected():
 
 
 @given(st.integers(min_value=60, max_value=600),
-       st.integers(min_value=320, max_value=4096), st.booleans())
+       st.integers(min_value=320, max_value=4096))
 @settings(max_examples=50)
-def test_sealed_burst_splits_within_the_record_bound(count, max_frame,
-                                                     sealed):
+def test_sealed_burst_splits_within_the_record_bound(count, max_frame):
     """``seal_records`` cuts a burst too big for one record (at least
     6 KiB of frames, over any ``max_frame`` drawn plus its slack) into
     records that each pass ``record_length`` and open, in order, back
     to the same messages."""
     messages = [{"type": "item", "blob": bytes([i % 256]) * (100 + i % 200)}
                 for i in range(count)]
-    client, worker = _pair() if sealed else (None, None)
+    client, worker = _pair()
     stream = protocol.seal_records(
         [protocol.encode_message(m, max_frame) for m in messages],
         client, max_frame)
@@ -287,7 +327,7 @@ def test_v2_pickle_banner_rejected_at_handshake():
     for v2_banner in (
             pickle.dumps({"type": "hello", "version": 2}),
             b"AUTH?" + b"\x00" * 16):
-        handshake = ClientHandshake(None)
+        handshake = ClientHandshake(b"secret")
         with pytest.raises(Exception, match="v2 or older|v3 required"):
             handshake.respond(v2_banner)
 
@@ -302,7 +342,7 @@ def test_v2_style_client_rejected_by_worker():
         payload = pickle.dumps({"type": "hello", "version": 2})
         left.sendall(len(payload).to_bytes(8, "big") + payload)
         with pytest.raises((ProtocolError, ConnectionError)):
-            protocol.accept_stream(right, None)
+            protocol.accept_stream(right, b"secret")
     finally:
         left.close()
         right.close()
