@@ -1,21 +1,25 @@
 """Static patch-safety analysis (pre-stop_machine verdicts).
 
-Four analyses over the pre/post objects and (when available) the
-running kernel's build, feeding one :class:`AnalysisReport`:
+Analyses over the pre/post objects and (when available) the running
+kernel's build, feeding one :class:`AnalysisReport`.  Each decides its
+safety facts once and returns the findings together with the
+machine-checkable :class:`Evidence` that proves them:
 
 - a relocation call graph (:mod:`repro.analysis.callgraph`) computing
   who calls or references each patched function, inlined copies
   included;
 - a data-layout/semantics diff (:mod:`repro.analysis.datalayout`)
-  mapping persistent-data and shadow-API changes to verdicts;
+  mapping persistent-data images, init-only writers and shadow-API
+  adoption to verdicts, with ``data-image`` and ``shadow-api``
+  witnesses;
 - a quiescence-risk walk (:mod:`repro.analysis.quiescence`) predicting
-  stack-check retry exhaustion before stop_machine runs;
+  stack-check retry exhaustion before stop_machine runs, with the
+  ``sleep-path`` witness from the same walk;
 - a primary-module lint (:mod:`repro.analysis.lint`) for symbols the
   apply-time resolver cannot possibly satisfy;
-- an abstract-interpretation proof engine
-  (:mod:`repro.analysis.absint`) backing every verdict with
-  machine-checkable :class:`Evidence` — ABI/stack dataflow, hunk
-  equivalence, pointer-escape, data-image, and sleep-path witnesses.
+- an abstract-interpretation engine (:mod:`repro.analysis.absint`)
+  for the facts only dataflow can decide — ABI/stack discipline, hunk
+  equivalence, and the pointer-escape verdict on resized layouts.
 
 The analyzer runs as the ``analyze`` stage of ksplice-create and its
 verdict rides on ``CveResult``; the evaluation engine cross-checks the

@@ -1,13 +1,12 @@
 """Abstract interpretation over decoded k86 object code.
 
-The heuristic analyses of :mod:`repro.analysis` label an update;
-this package *proves* the label.  A small abstract domain
-(:mod:`~repro.analysis.absint.domain`) tracks each register and stack
-slot as unknown / entry value / constant / data pointer / stack
-address; a worklist interpreter
+A small abstract domain (:mod:`~repro.analysis.absint.domain`) tracks
+each register and stack slot as unknown / entry value / constant / data
+pointer / stack address; a worklist interpreter
 (:mod:`~repro.analysis.absint.interp`) runs every function's decoded
 text to a fixpoint and emits a :class:`FunctionSummary`.  Client
-passes turn summaries into machine-checkable
+passes decide the facts only the interpreter can, each returning its
+findings together with machine-checkable
 :class:`~repro.analysis.model.Evidence` records:
 
 ``abi``            stack discipline and observable arity per changed
@@ -15,26 +14,20 @@ passes turn summaries into machine-checkable
                    the run kernel's actual call sites;
 ``equivalence``    old/new code outside the compiled hunk equivalent
                    modulo relocations;
-``escape``         concrete pointer-escape witnesses for layout-
-                   changed data (and the safe downgrade when nothing
-                   escapes anywhere);
-``shadow-api``     call sites of newly-adopted shadow-structure API;
-``data-image``     differing byte spans and init-only-writer chains
-                   behind every ``needs-hooks``;
-``sleep-path``     per-call-site chains to the parked instruction
-                   behind every ``quiesce-risk``.
+``escape``         the resized-layout verdict: concrete pointer-escape
+                   witnesses behind ``needs-shadow``, or the safe note
+                   when nothing escapes anywhere.
 
-:func:`run_absint` orchestrates all passes for the combined analyzer.
+:func:`run_absint` orchestrates these passes for the combined analyzer.
+The cheaper witnesses (``shadow-api``, ``data-image``, ``sleep-path``)
+come from the analyses that decide their findings
+(:mod:`repro.analysis.datalayout`, :mod:`repro.analysis.quiescence`).
 """
 
 from repro.analysis.absint.abi import (
     analyze_abi,
     caller_arg_counts,
     function_summary,
-)
-from repro.analysis.absint.dataimage import (
-    image_change_evidence,
-    init_writer_evidence,
 )
 from repro.analysis.absint.domain import (
     AbsValue,
@@ -44,19 +37,11 @@ from repro.analysis.absint.domain import (
 )
 from repro.analysis.absint.engine import run_absint
 from repro.analysis.absint.equiv import equivalence_evidence
-from repro.analysis.absint.escape import (
-    analyze_escapes,
-    downgrade_unwitnessed_shadow,
-    shadow_api_evidence,
-)
+from repro.analysis.absint.escape import analyze_escapes
 from repro.analysis.absint.interp import (
     FunctionSummary,
     summarize_function,
     summarize_section_function,
-)
-from repro.analysis.absint.sleeppath import (
-    sleep_evidence_for_diffs,
-    sleep_path_evidence,
 )
 
 __all__ = [
@@ -66,17 +51,11 @@ __all__ = [
     "analyze_abi",
     "analyze_escapes",
     "caller_arg_counts",
-    "downgrade_unwitnessed_shadow",
     "equivalence_evidence",
     "function_summary",
-    "image_change_evidence",
-    "init_writer_evidence",
     "join_states",
     "join_values",
     "run_absint",
-    "shadow_api_evidence",
-    "sleep_evidence_for_diffs",
-    "sleep_path_evidence",
     "summarize_function",
     "summarize_section_function",
 ]

@@ -1,20 +1,16 @@
-"""Orchestration: run every absint client pass over one update.
+"""Orchestration: the passes backed by the abstract interpreter.
 
-:func:`run_absint` is the single entry point the combined analyzer
-calls.  It walks the per-unit diffs once and
+:func:`run_absint` is the entry point the combined analyzer calls for
+the facts only the interpreter can decide.  It walks the per-unit
+diffs once and
 
 * proves (or refutes) ABI preservation for every changed function,
-* attaches a hunk-equivalence witness per changed function,
-* runs the pointer-escape analysis over every resized data symbol and
-  downgrades witness-free ``needs-shadow`` findings,
-* pins data-image witnesses onto the ``needs-hooks`` shapes
-  (persistent-image changes and init-only writers),
-* records shadow-API adoption call sites, and
-* recovers per-call-site sleep-path witnesses for quiescence findings.
+* attaches a hunk-equivalence witness per changed function, and
+* decides every resized data layout from its pointer-escape witnesses.
 
-The return value is the *final* finding list (heuristic findings with
-downgrades applied, plus any absint rejects) and the evidence records
-to hang on the report.
+The return value is the findings these passes reach (ABI rejects and
+resized-layout verdicts) and the evidence records to hang on the
+report.
 """
 
 from __future__ import annotations
@@ -22,18 +18,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.absint.abi import analyze_abi
-from repro.analysis.absint.dataimage import (
-    image_change_evidence,
-    init_writer_evidence,
-)
 from repro.analysis.absint.equiv import equivalence_evidence
-from repro.analysis.absint.escape import (
-    analyze_escapes,
-    downgrade_unwitnessed_shadow,
-    shadow_api_evidence,
-)
-from repro.analysis.absint.sleeppath import sleep_path_evidence
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.absint.escape import analyze_escapes
 from repro.analysis.model import Evidence, Finding
 from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile
@@ -46,19 +32,15 @@ def run_absint(unit_diffs: Dict[str, "UnitDiff"],
                pre_objects: Dict[str, ObjectFile],
                post_objects: Dict[str, ObjectFile],
                run_build: Optional[BuildResult],
-               graph: Optional[CallGraph],
-               heuristic_findings: List[Finding],
                ) -> Tuple[List[Finding], List[Evidence]]:
-    """All client passes over one update's diffs."""
+    """All interpreter-backed passes over one update's diffs."""
     patched_names: Set[str] = set()
     for diff in unit_diffs.values():
         patched_names |= set(diff.changed_functions)
         patched_names |= set(diff.new_functions)
 
-    findings: List[Finding] = list(heuristic_findings)
+    findings: List[Finding] = []
     evidence: List[Evidence] = []
-    escapes_seen: Dict[Tuple[str, str], bool] = {}
-
     for unit in sorted(unit_diffs):
         diff = unit_diffs[unit]
         pre = pre_objects.get(unit)
@@ -72,27 +54,9 @@ def run_absint(unit_diffs: Dict[str, "UnitDiff"],
             equivalence = equivalence_evidence(unit, fn, pre, post)
             if equivalence is not None:
                 evidence.append(equivalence)
-            sleep = sleep_path_evidence(graph, unit, fn, pre)
-            if sleep is not None:
-                evidence.append(sleep)
-            if graph is not None:
-                node = graph.node_for(unit, fn)
-                if node is not None and graph.is_init_only(node):
-                    init_ev = init_writer_evidence(graph, unit, fn,
-                                                   pre, post)
-                    if init_ev is not None:
-                        evidence.append(init_ev)
 
-        escape_evidence, unit_escapes = analyze_escapes(
-            unit, set(diff.resized_data), post, run_build)
+        escape_findings, escape_evidence = analyze_escapes(
+            unit, diff, pre, post, run_build)
+        findings.extend(escape_findings)
         evidence.extend(escape_evidence)
-        for symbol, escaped in unit_escapes.items():
-            escapes_seen[(unit, symbol)] = escaped
-
-        evidence.extend(shadow_api_evidence(unit, pre, post))
-
-        for section_name in diff.persistent_data_sections():
-            evidence.append(image_change_evidence(
-                unit, section_name, pre, post, run_build))
-
-    return downgrade_unwitnessed_shadow(findings, escapes_seen), evidence
+    return findings, evidence

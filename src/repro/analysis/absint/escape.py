@@ -1,8 +1,9 @@
-"""Pointer-escape analysis for data-layout diffs.
+"""Pointer-escape analysis: the verdict for resized data layouts.
 
-``needs-shadow`` in the heuristic analyzer means "a data section's
-layout differs".  This pass turns that into evidence: for every
-resized or changed persistent data symbol it collects
+A resized data section is the closest object-level analog of adding a
+field to a struct.  Whether that needs shadow storage depends on
+whether anything can hold a pointer into the live object, so this pass
+decides the resized-layout finding itself, from
 
 * **escape witnesses** — instructions in the replacement code where a
   pointer into the symbol leaves the local frame (stored to memory,
@@ -12,91 +13,75 @@ resized or changed persistent data symbol it collects
   relocation targets the symbol, and every data-section relocation
   embedding its address (a function-pointer-table-style anchor).
 
-A resized symbol with *no* witnesses anywhere cannot have a live
-pointer into it, so the ``needs-shadow`` finding is downgraded to an
-informational ``safe`` note — the concrete payoff of running the
-interpreter.  When witnesses exist they ride on the evidence record,
-upgrading the verdict from "layout differs" to "layout differs *and
-here is who holds pointers into it*".
-
-Shadow-API adoption gets its own ``shadow-api`` evidence: the exact
-call sites of ``ksplice_shadow_*`` the replacement introduces.
+A resized symbol with witnesses gets a ``needs-shadow`` finding, and
+the witnesses ride on its ``escape`` evidence: "layout differs *and
+here is who holds pointers into it*".  A resized symbol with *no*
+witnesses anywhere cannot have a live pointer into it, so it gets an
+informational ``absint-escape`` ``safe`` note instead — the concrete
+payoff of running the interpreter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.analysis.absint.interp import summarize_section_function
-from repro.analysis.datalayout import SHADOW_API
+from repro.analysis.absint.interp import (
+    FunctionSummary,
+    summarize_section_function,
+)
+from repro.analysis.datalayout import run_kernel_references, \
+    strip_data_prefix
 from repro.analysis.model import (
     EVIDENCE_ESCAPE,
-    EVIDENCE_SHADOW_API,
     VERDICT_NEEDS_SHADOW,
     VERDICT_SAFE,
     Evidence,
     Finding,
 )
 from repro.kbuild import BuildResult
-from repro.objfile import ObjectFile, SectionKind
+from repro.objfile import ObjectFile
+
+if TYPE_CHECKING:
+    from repro.core.objdiff import UnitDiff
 
 
-def _post_function_names(post_obj: ObjectFile) -> List[str]:
-    return sorted(
-        section.name[len(".text."):]
-        for section in post_obj.text_sections()
-        if section.name.startswith(".text."))
+def _post_summaries(post_obj: Optional[ObjectFile],
+                    ) -> List[Tuple[str, FunctionSummary]]:
+    """Every replacement function's summary, in name order."""
+    if post_obj is None:
+        return []
+    names = sorted(section.name[len(".text."):]
+                   for section in post_obj.text_sections()
+                   if section.name.startswith(".text."))
+    return [(fn, summarize_section_function(
+                post_obj.sections[".text.%s" % fn], fn))
+            for fn in names]
 
 
-def _run_kernel_references(build: Optional[BuildResult],
-                           symbol: str) -> Tuple[List[str], int]:
-    """``unit:section+0xNN`` relocation sites targeting ``symbol``."""
-    sites: List[str] = []
-    data_anchors = 0
-    if build is None:
-        return sites, data_anchors
-    for unit in sorted(build.objects):
-        obj = build.objects[unit]
-        for section_name in sorted(obj.sections):
-            section = obj.sections[section_name]
-            for reloc in section.sorted_relocations():
-                if reloc.symbol != symbol:
-                    continue
-                what = "references" if section.kind is SectionKind.TEXT \
-                    else "embeds the address of"
-                if section.kind is not SectionKind.TEXT:
-                    data_anchors += 1
-                sites.append("%s:%s+0x%x: %s %s"
-                             % (unit, section_name, reloc.offset,
-                                what, symbol))
-    return sites, data_anchors
+def _section_size(obj: Optional[ObjectFile], section_name: str) -> int:
+    if obj is None:
+        return 0
+    section = obj.sections.get(section_name)
+    return section.size if section is not None else 0
 
 
-def analyze_escapes(unit: str,
-                    layout_symbols: Set[str],
+def analyze_escapes(unit: str, diff: "UnitDiff",
+                    pre_obj: Optional[ObjectFile],
                     post_obj: Optional[ObjectFile],
                     run_build: Optional[BuildResult],
-                    ) -> Tuple[List[Evidence], Dict[str, bool]]:
-    """Escape evidence per layout-changed symbol.
+                    ) -> Tuple[List[Finding], List[Evidence]]:
+    """One unit's resized-layout findings with their escape evidence.
 
-    Returns the evidence records plus ``symbol -> anything escapes``
-    so the caller can downgrade witness-free ``needs-shadow``
-    findings.
+    Every resized symbol gets an ``escape`` record; every resized
+    persistent-data section gets a ``needs-shadow`` finding when
+    anything escapes, else an ``absint-escape`` safe note.
     """
+    if not diff.resized_data:
+        return [], []
+    summaries = _post_summaries(post_obj)
     evidence: List[Evidence] = []
     escapes_seen: Dict[str, bool] = {}
-    if not layout_symbols:
-        return evidence, escapes_seen
-
-    summaries = []
-    if post_obj is not None:
-        for fn in _post_function_names(post_obj):
-            section = post_obj.sections.get(".text.%s" % fn)
-            if section is not None:
-                summaries.append((fn, summarize_section_function(
-                    section, fn)))
-
-    for symbol in sorted(layout_symbols):
+    for symbol in sorted(set(diff.resized_data)):
         sites: List[str] = []
         escape_count = 0
         access_count = 0
@@ -113,16 +98,15 @@ def analyze_escapes(unit: str,
                     sites.append("%s:%s+0x%x: ret — returns a "
                                  "pointer into %s"
                                  % (unit, fn, ret.offset, symbol))
-            for event in summary.accesses:
-                if event.symbol == symbol:
+            for access in summary.accesses:
+                if access.symbol == symbol:
                     access_count += 1
                     sites.append("%s:%s+0x%x: %s %s %s"
-                                 % (unit, fn, event.offset,
-                                    event.mnemonic,
-                                    "writes" if event.is_write
+                                 % (unit, fn, access.offset,
+                                    access.mnemonic,
+                                    "writes" if access.is_write
                                     else "reads", symbol))
-        run_sites, data_anchors = _run_kernel_references(run_build,
-                                                         symbol)
+        run_sites, data_anchors = run_kernel_references(run_build, symbol)
         sites.extend(run_sites)
         escaped = bool(escape_count or data_anchors or run_sites)
         escapes_seen[symbol] = escaped
@@ -145,66 +129,29 @@ def analyze_escapes(unit: str,
                    "run_kernel_references": len(run_sites),
                    "data_anchors": data_anchors,
                    "anything_escapes": escaped}))
-    return evidence, escapes_seen
 
-
-def shadow_api_evidence(unit: str,
-                        pre_obj: Optional[ObjectFile],
-                        post_obj: Optional[ObjectFile],
-                        ) -> List[Evidence]:
-    """Call sites of newly-adopted ``ksplice_shadow_*`` symbols."""
-    if post_obj is None:
-        return []
-    pre_refs: Set[str] = set(pre_obj.referenced_symbol_names()) \
-        if pre_obj is not None else set()
-    adopted = sorted((set(post_obj.referenced_symbol_names())
-                      - pre_refs) & set(SHADOW_API))
-    if not adopted:
-        return []
-    evidence: List[Evidence] = []
-    for api in adopted:
-        sites: List[str] = []
-        for section in post_obj.text_sections():
-            fn = section.name[len(".text."):] \
-                if section.name.startswith(".text.") else section.name
-            for reloc in section.sorted_relocations():
-                if reloc.symbol == api:
-                    sites.append("%s:%s+0x%x: call %s"
-                                 % (unit, fn, reloc.offset, api))
-        evidence.append(Evidence(
-            kind=EVIDENCE_SHADOW_API, unit=unit, symbol=api,
-            detail="replacement code calls %s at %d site(s): it "
-                   "depends on per-object shadow state the running "
-                   "kernel does not carry" % (api, len(sites)),
-            sites=sites, facts={"call_sites": len(sites)}))
-    return evidence
-
-
-def downgrade_unwitnessed_shadow(
-        findings: List[Finding],
-        escapes_seen: Dict[Tuple[str, str], bool]) -> List[Finding]:
-    """Replace witness-free resized-layout ``needs-shadow`` findings
-    with informational ``safe`` notes.
-
-    ``escapes_seen`` is keyed ``(unit, symbol)``; findings for symbols
-    it does not cover (shadow-API adoption, unanalyzed units) pass
-    through untouched — absence of analysis is not absence of
-    escapes.
-    """
-    out: List[Finding] = []
-    for finding in findings:
-        key = (finding.unit, finding.symbol)
-        if finding.verdict == VERDICT_NEEDS_SHADOW \
-                and finding.analysis == "data-layout" \
-                and "resized" in finding.detail \
-                and escapes_seen.get(key) is False:
-            out.append(Finding(
+    findings: List[Finding] = []
+    for section_name in diff.persistent_data_sections():
+        symbol = strip_data_prefix(section_name)
+        if symbol not in escapes_seen:
+            continue
+        if escapes_seen[symbol]:
+            findings.append(Finding(
+                analysis="data-layout", verdict=VERDICT_NEEDS_SHADOW,
+                unit=unit, symbol=symbol,
+                detail="data layout resized (%d -> %d bytes, the "
+                       "struct-growth analog); the live object cannot "
+                       "hold the new fields — use shadow storage"
+                       % (_section_size(pre_obj, section_name),
+                          _section_size(post_obj, section_name))))
+        else:
+            # Report bytes are pinned under ANALYZER_VERSION: change
+            # this wording only together with a version bump.
+            findings.append(Finding(
                 analysis="absint-escape", verdict=VERDICT_SAFE,
-                unit=finding.unit, symbol=finding.symbol,
+                unit=unit, symbol=symbol,
                 detail="layout of %s resized, but the escape analysis "
                        "found no live pointer into it anywhere in the "
                        "replacement or the run kernel — downgraded "
-                       "from needs-shadow" % finding.symbol))
-        else:
-            out.append(finding)
-    return out
+                       "from needs-shadow" % symbol))
+    return findings, evidence

@@ -1,4 +1,4 @@
-"""The combined analyzer: one report from four analyses plus proofs.
+"""The combined analyzer: one report, one pass per safety fact.
 
 ``analyze_update`` is what the ``analyze`` stage of ksplice-create
 calls, after differencing and before the pack is returned.  It is a
@@ -7,15 +7,14 @@ pure function of the pack, the per-unit diffs and objects, and
 raises nothing — rejection is a verdict, not an exception, so the
 caller decides whether a ``reject`` stops the pipeline.
 
-The four heuristic analyses (data layout, init-only writers,
-quiescence, lint) produce the findings; the abstract-interpretation
-engine (:mod:`repro.analysis.absint`) then re-derives the machine
-facts behind them — ABI summaries, hunk equivalence, pointer-escape
-and sleep-path witnesses, data-image diffs — attaching
-:class:`~repro.analysis.model.Evidence` records and, where the proof
-contradicts the heuristic (a resized symbol nothing points into),
-downgrading the finding.  ``absint=False`` skips the proof engine
-(used for benchmarking the heuristic baseline).
+Each pass decides its facts once and returns the findings together
+with the :class:`~repro.analysis.model.Evidence` that proves them:
+data layout and init-only writers (``data-image``, ``shadow-api``),
+quiescence (``sleep-path``), the primary-module lint (whose facts are
+their own witness), and — inside the ``absint`` trace stage — the
+abstract-interpretation passes (:mod:`repro.analysis.absint`): ABI
+summaries, hunk equivalence, and the pointer-escape verdict on every
+resized data layout.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.analysis.datalayout import (
     analyze_init_only_writers,
 )
 from repro.analysis.lint import lint_pack
-from repro.analysis.model import AnalysisReport, Finding
+from repro.analysis.model import AnalysisReport
 from repro.analysis.quiescence import analyze_quiescence
 from repro.arch.info import DEFAULT_ARCH
 from repro.kbuild import BuildResult
@@ -52,7 +51,6 @@ def analyze_update(pack: "UpdatePack",
                    run_build: Optional[BuildResult] = None,
                    stack_check_retries: int = DEFAULT_STACK_CHECK_RETRIES,
                    jump_size: int = DEFAULT_ARCH.jump_size,
-                   absint: bool = True,
                    trace: Optional[Trace] = None,
                    ) -> AnalysisReport:
     """Classify one update before any machine is touched."""
@@ -87,30 +85,29 @@ def analyze_update(pack: "UpdatePack",
             format_node(node)
             for node in graph.caller_closure(patched_nodes))
 
-    findings: List[Finding] = []
-    findings.extend(analyze_data_layout(unit_diffs, pre_objects,
-                                        post_objects))
+    findings, evidence = analyze_data_layout(unit_diffs, pre_objects,
+                                             post_objects, run_build)
     if graph is not None:
-        findings.extend(analyze_init_only_writers(graph, unit_diffs,
-                                                  pre_objects,
-                                                  post_objects))
-    findings.extend(analyze_quiescence(graph, unit_diffs, pre_objects,
-                                       stack_check_retries))
+        writer_findings, writer_evidence = analyze_init_only_writers(
+            graph, unit_diffs, pre_objects, post_objects)
+        findings += writer_findings
+        evidence += writer_evidence
+    sleep_findings, sleep_evidence = analyze_quiescence(
+        graph, unit_diffs, pre_objects, stack_check_retries)
+    findings += sleep_findings
+    evidence += sleep_evidence
     findings.extend(lint_pack(pack, run_build=run_build,
                               jump_size=jump_size))
 
-    if absint:
-        stage = trace.stage("absint") if trace is not None \
-            else nullcontext()
-        with stage as rep:
-            findings, evidence = run_absint(
-                unit_diffs, pre_objects, post_objects, run_build,
-                graph, findings)
-            report.evidence = evidence
-            if rep is not None:
-                rep.counters["evidence"] = len(evidence)
-                rep.counters["proof_sites"] = sum(
-                    len(ev.sites) for ev in evidence)
-
+    stage = trace.stage("absint") if trace is not None else nullcontext()
+    with stage as rep:
+        absint_findings, absint_evidence = run_absint(
+            unit_diffs, pre_objects, post_objects, run_build)
+        if rep is not None:
+            rep.counters["evidence"] = len(absint_evidence)
+            rep.counters["proof_sites"] = sum(
+                len(ev.sites) for ev in absint_evidence)
+    findings.extend(absint_findings)
+    report.evidence = evidence + absint_evidence
     report.extend(findings)
     return report

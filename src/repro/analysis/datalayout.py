@@ -1,38 +1,49 @@
 """Data-layout and data-semantics analysis (§3.4 of the paper).
 
-Three signals, each mapped to a verdict:
+Three signals, each decided once and returned with the evidence that
+proves it:
 
 - a **persistent-data image change** (initializer edits, removed data,
   rodata changes): applying replacement code alone leaves the running
-  kernel's copy stale — ``needs-hooks``;
-- a **resized data section** — the closest object-level analog of
-  adding a field to a struct: the live object cannot hold the new
-  layout, so the new state needs shadow storage (or a transform hook)
-  — ``needs-shadow``;
+  kernel's copy stale — ``needs-hooks``.  The ``data-image`` witness is
+  the exact differing byte span plus every run-kernel relocation that
+  reads or writes the symbol;
 - **shadow-API adoption**: the replacement code starts calling the
   shadow data-structure API the pre code never used, i.e. the patch
   depends on per-object state the running kernel does not have —
-  ``needs-shadow``;
+  ``needs-shadow``.  The ``shadow-api`` witness is the exact call sites
+  the replacement introduces;
 - an **init-only data writer**: a changed function that initializes
   persistent data but is reachable solely from the boot path.  Its
   fixed code will never run again in the live kernel, so replacing it
   cannot repair the state it wrote during boot — ``needs-hooks``.
   This is exactly the Table-1 shape: the original patch edits an
   ``*_init`` function's fill values, and only hook code can fix the
-  already-initialized state.
+  already-initialized state.  The ``data-image`` witness is the
+  instructions that reference the data plus the boot-only caller
+  closure.
+
+A **resized data section** — the closest object-level analog of adding
+a field to a struct — is decided by the pointer-escape pass
+(:mod:`repro.analysis.absint.escape`): whether the live object can keep
+its old layout depends on whether anything holds a pointer into it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.callgraph import CallGraph, format_node
 from repro.analysis.model import (
+    EVIDENCE_DATA_IMAGE,
+    EVIDENCE_SHADOW_API,
     VERDICT_NEEDS_HOOKS,
     VERDICT_NEEDS_SHADOW,
     VERDICT_SAFE,
+    Evidence,
     Finding,
 )
+from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile, SectionKind, SymbolKind
 
 if TYPE_CHECKING:
@@ -49,49 +60,59 @@ SHADOW_API = (
 )
 
 
-def _strip_data_prefix(section_name: str) -> str:
+def strip_data_prefix(section_name: str) -> str:
     for prefix in (".data.", ".bss.", ".rodata."):
         if section_name.startswith(prefix):
             return section_name[len(prefix):]
     return section_name
 
 
+def run_kernel_references(build: Optional[BuildResult],
+                          symbol: str) -> Tuple[List[str], int]:
+    """``unit:section+0xNN`` relocation sites targeting ``symbol``, and
+    how many of them sit in data sections (address-taking anchors)."""
+    sites: List[str] = []
+    data_anchors = 0
+    if build is None:
+        return sites, data_anchors
+    for unit in sorted(build.objects):
+        obj = build.objects[unit]
+        for section_name in sorted(obj.sections):
+            section = obj.sections[section_name]
+            for reloc in section.sorted_relocations():
+                if reloc.symbol != symbol:
+                    continue
+                what = "references" if section.kind is SectionKind.TEXT \
+                    else "embeds the address of"
+                if section.kind is not SectionKind.TEXT:
+                    data_anchors += 1
+                sites.append("%s:%s+0x%x: %s %s"
+                             % (unit, section_name, reloc.offset,
+                                what, symbol))
+    return sites, data_anchors
+
+
 def analyze_data_layout(unit_diffs: Dict[str, "UnitDiff"],
                         pre_objects: Dict[str, ObjectFile],
-                        post_objects: Dict[str, ObjectFile]) -> List[Finding]:
-    """Persistent-data, layout, and shadow-API findings per unit."""
+                        post_objects: Dict[str, ObjectFile],
+                        run_build: Optional[BuildResult] = None,
+                        ) -> Tuple[List[Finding], List[Evidence]]:
+    """Persistent-image and shadow-API findings per unit, with their
+    witnesses, plus an informational note per hook-carrying unit."""
     findings: List[Finding] = []
+    evidence: List[Evidence] = []
     for unit in sorted(unit_diffs):
         diff = unit_diffs[unit]
-        resized = set(diff.resized_data)
+        pre = pre_objects.get(unit)
+        post = post_objects.get(unit)
         for section_name in diff.persistent_data_sections():
-            symbol = _strip_data_prefix(section_name)
-            if section_name.startswith(".rodata"):
-                detail = ("read-only data image changed; the running "
-                          "kernel's copy must be rewritten by hook code")
-            else:
-                detail = ("persistent data initializer changed; applying "
-                          "the code alone leaves live state stale — "
-                          "supply transform hook code")
-            findings.append(Finding(analysis="data-layout",
-                                    verdict=VERDICT_NEEDS_HOOKS,
-                                    unit=unit, symbol=symbol,
-                                    detail=detail))
-            if symbol in resized:
-                pre_size = _section_size(pre_objects.get(unit),
-                                         section_name)
-                post_size = _section_size(post_objects.get(unit),
-                                          section_name)
-                findings.append(Finding(
-                    analysis="data-layout",
-                    verdict=VERDICT_NEEDS_SHADOW,
-                    unit=unit, symbol=symbol,
-                    detail="data layout resized (%d -> %d bytes, the "
-                           "struct-growth analog); the live object cannot "
-                           "hold the new fields — use shadow storage"
-                           % (pre_size, post_size)))
-        findings.extend(_shadow_api_findings(unit, pre_objects.get(unit),
-                                             post_objects.get(unit)))
+            finding, witness = _image_change(unit, section_name, pre, post,
+                                             run_build)
+            findings.append(finding)
+            evidence.append(witness)
+        for finding, witness in _shadow_api_adoption(unit, pre, post):
+            findings.append(finding)
+            evidence.append(witness)
         if diff.has_hooks:
             detail = "transform hooks supplied: %s" \
                 % ", ".join(sorted(diff.hook_sections))
@@ -100,48 +121,134 @@ def analyze_data_layout(unit_diffs: Dict[str, "UnitDiff"],
             findings.append(Finding(analysis="data-layout",
                                     verdict=VERDICT_SAFE,
                                     unit=unit, detail=detail))
-    return findings
+    return findings, evidence
 
 
-def _section_size(obj: "ObjectFile | None", section_name: str) -> int:
-    if obj is None:
-        return 0
-    section = obj.sections.get(section_name)
-    return section.size if section is not None else 0
+def _diff_span(pre: bytes, post: bytes) -> Dict[str, int]:
+    """First/last differing byte offsets between two images."""
+    limit = min(len(pre), len(post))
+    first = next((i for i in range(limit) if pre[i] != post[i]),
+                 limit if len(pre) != len(post) else -1)
+    last = -1
+    for i in range(limit - 1, -1, -1):
+        if pre[i] != post[i]:
+            last = i
+            break
+    if len(pre) != len(post):
+        last = max(last, max(len(pre), len(post)) - 1)
+    return {"first_diff": first, "last_diff": last,
+            "pre_size": len(pre), "post_size": len(post)}
 
 
-def _shadow_api_findings(unit: str, pre: "ObjectFile | None",
-                         post: "ObjectFile | None") -> List[Finding]:
+def _image_change(unit: str, section_name: str,
+                  pre: Optional[ObjectFile], post: Optional[ObjectFile],
+                  run_build: Optional[BuildResult],
+                  ) -> Tuple[Finding, Evidence]:
+    """One changed persistent-data section: the finding and the
+    differing byte span behind it."""
+    symbol = strip_data_prefix(section_name)
+    if section_name.startswith(".rodata"):
+        detail = ("read-only data image changed; the running "
+                  "kernel's copy must be rewritten by hook code")
+    else:
+        detail = ("persistent data initializer changed; applying "
+                  "the code alone leaves live state stale — "
+                  "supply transform hook code")
+    finding = Finding(analysis="data-layout", verdict=VERDICT_NEEDS_HOOKS,
+                      unit=unit, symbol=symbol, detail=detail)
+
+    pre_section = pre.sections.get(section_name) if pre is not None \
+        else None
+    post_section = post.sections.get(section_name) if post is not None \
+        else None
+    facts = _diff_span(pre_section.data if pre_section else b"",
+                       post_section.data if post_section else b"")
+    sites = []
+    if facts["first_diff"] >= 0:
+        sites.append("%s:%s bytes [0x%x..0x%x] differ between the "
+                     "pre and post images"
+                     % (unit, section_name, facts["first_diff"],
+                        max(facts["first_diff"], facts["last_diff"])))
+    run_sites, _anchors = run_kernel_references(run_build, symbol)
+    sites.extend(run_sites)
+    facts["run_kernel_references"] = len(run_sites)
+    return finding, Evidence(
+        kind=EVIDENCE_DATA_IMAGE, unit=unit, symbol=symbol,
+        detail="persistent image of %s differs (%d -> %d bytes); the "
+               "running kernel's copy stays on the old image unless "
+               "hook code rewrites it" % (symbol, facts["pre_size"],
+                                          facts["post_size"]),
+        sites=sites, facts=facts)
+
+
+def _shadow_api_adoption(unit: str, pre: Optional[ObjectFile],
+                         post: Optional[ObjectFile],
+                         ) -> List[Tuple[Finding, Evidence]]:
+    """Each ``ksplice_shadow_*`` symbol the replacement newly
+    references, with its call sites."""
     if post is None:
         return []
-    pre_refs: Set[str] = set(pre.referenced_symbol_names()) if pre else set()
-    new_refs = set(post.referenced_symbol_names()) - pre_refs
-    return [Finding(analysis="data-layout",
-                    verdict=VERDICT_NEEDS_SHADOW,
-                    unit=unit, symbol=name,
+    pre_refs: Set[str] = set(pre.referenced_symbol_names()) \
+        if pre is not None else set()
+    adopted = sorted((set(post.referenced_symbol_names()) - pre_refs)
+                     & set(SHADOW_API))
+    out: List[Tuple[Finding, Evidence]] = []
+    for api in adopted:
+        sites: List[str] = []
+        for section in post.text_sections():
+            fn = section.name[len(".text."):] \
+                if section.name.startswith(".text.") else section.name
+            for reloc in section.sorted_relocations():
+                if reloc.symbol == api:
+                    sites.append("%s:%s+0x%x: call %s"
+                                 % (unit, fn, reloc.offset, api))
+        out.append((
+            Finding(analysis="data-layout", verdict=VERDICT_NEEDS_SHADOW,
+                    unit=unit, symbol=api,
                     detail="replacement code adopts the shadow data API "
                            "(%s): it depends on per-object state the "
-                           "running kernel does not carry" % name)
-            for name in sorted(new_refs & set(SHADOW_API))]
+                           "running kernel does not carry" % api),
+            Evidence(kind=EVIDENCE_SHADOW_API, unit=unit, symbol=api,
+                     detail="replacement code calls %s at %d site(s): it "
+                            "depends on per-object shadow state the "
+                            "running kernel does not carry"
+                            % (api, len(sites)),
+                     sites=sites, facts={"call_sites": len(sites)})))
+    return out
 
 
 def analyze_init_only_writers(graph: CallGraph,
                               unit_diffs: Dict[str, "UnitDiff"],
                               pre_objects: Dict[str, ObjectFile],
                               post_objects: Dict[str, ObjectFile],
-                              ) -> List[Finding]:
-    """Changed functions that write persistent data but only run at boot."""
+                              ) -> Tuple[List[Finding], List[Evidence]]:
+    """Changed functions that write persistent data but only run at
+    boot, each with the referencing instructions and its boot-only
+    caller closure."""
     findings: List[Finding] = []
+    evidence: List[Evidence] = []
     for unit in sorted(unit_diffs):
-        diff = unit_diffs[unit]
-        for fn in sorted(diff.changed_functions):
+        pre = pre_objects.get(unit)
+        post = post_objects.get(unit)
+        for fn in sorted(unit_diffs[unit].changed_functions):
             node = graph.node_for(unit, fn)
             if node is None or not graph.is_init_only(node):
                 continue
-            data_refs = _persistent_data_refs(post_objects.get(unit),
-                                              pre_objects.get(unit), fn)
+            section = post.sections.get(".text.%s" % fn) \
+                if post is not None else None
+            if section is None:
+                continue
+            sites: List[str] = []
+            data_refs: Set[str] = set()
+            for reloc in section.sorted_relocations():
+                if _is_persistent_data(post, pre, reloc.symbol):
+                    data_refs.add(reloc.symbol)
+                    sites.append("%s:%s+0x%x: references persistent "
+                                 "data %s" % (unit, fn, reloc.offset,
+                                              reloc.symbol))
             if not data_refs:
                 continue
+            names = ", ".join(sorted(data_refs))
             findings.append(Finding(
                 analysis="data-layout",
                 verdict=VERDICT_NEEDS_HOOKS,
@@ -150,31 +257,35 @@ def analyze_init_only_writers(graph: CallGraph,
                        "(%s) but is reachable only from the boot path; "
                        "the live kernel will never re-run it — supply "
                        "hook code to fix the already-initialized state"
-                       % ", ".join(data_refs)))
-    return findings
+                       % names))
+            evidence.append(Evidence(
+                kind=EVIDENCE_DATA_IMAGE, unit=unit, symbol=fn,
+                detail="changed function initializes %s but every call "
+                       "chain starts at a boot entry point; its fixed "
+                       "code will never re-run, so only hook code can "
+                       "repair the already-initialized state" % names,
+                sites=sites,
+                facts={"data_symbols": sorted(data_refs),
+                       "boot_only": True,
+                       "caller_closure": sorted(
+                           format_node(n)
+                           for n in graph.caller_closure([node]))}))
+    return findings, evidence
 
 
-def _persistent_data_refs(post: "ObjectFile | None",
-                          pre: "ObjectFile | None", fn: str) -> List[str]:
-    """Data symbols the (function-sections) post text of ``fn`` touches."""
-    if post is None:
-        return []
-    section = post.sections.get(".text.%s" % fn)
-    if section is None:
-        return []
-    refs: Set[str] = set()
-    for reloc in section.sorted_relocations():
-        for obj in (post, pre):
-            if obj is None:
-                continue
-            symbol = obj.find_symbol(reloc.symbol)
-            if symbol is None or not symbol.is_defined:
-                continue
-            if symbol.kind is not SymbolKind.OBJECT:
-                break
-            defining = obj.sections.get(symbol.section or "")
-            if defining is not None and defining.kind in (
-                    SectionKind.DATA, SectionKind.BSS, SectionKind.RODATA):
-                refs.add(reloc.symbol)
-            break
-    return sorted(refs)
+def _is_persistent_data(post: Optional[ObjectFile],
+                        pre: Optional[ObjectFile], name: str) -> bool:
+    """Is ``name`` a data object defined in a data, bss or rodata
+    section (post definition first, pre as fallback)?"""
+    for obj in (post, pre):
+        if obj is None:
+            continue
+        symbol = obj.find_symbol(name)
+        if symbol is None or not symbol.is_defined:
+            continue
+        if symbol.kind is not SymbolKind.OBJECT:
+            return False
+        defining = obj.sections.get(symbol.section or "")
+        return defining is not None and defining.kind in (
+            SectionKind.DATA, SectionKind.BSS, SectionKind.RODATA)
+    return False

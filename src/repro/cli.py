@@ -1009,10 +1009,11 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="static patch-safety verdict, with machine-checkable "
              "evidence, for one corpus CVE (or --all)",
-        description="Run the static analyzer — heuristic passes plus "
-                    "the abstract-interpretation proof engine (ABI "
-                    "dataflow, hunk equivalence, pointer escape, "
-                    "data image, sleep paths) — and print the "
+        description="Run the static analyzer — one pass per safety "
+                    "fact, each returning its evidence (data image, "
+                    "shadow API, sleep paths, lint, and the abstract "
+                    "interpreter's ABI dataflow, hunk equivalence and "
+                    "pointer escape) — and print the "
                     "verdict with its evidence.  Exit 0 safe, "
                     "2 needs custom code, 3 reject.  With --all, "
                     "sweep the whole corpus, cross-check every "

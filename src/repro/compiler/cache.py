@@ -287,12 +287,12 @@ class ContentCache:
         disk tier survived)."""
         self._memory.clear()
 
-    def clear(self, reset_stats: bool = True) -> None:
+    def clear(self) -> None:
+        """Drop every entry (all tiers) and zero the counters."""
         self._memory.clear()
         if self._disk is not None:
             self._disk.clear()
-        if reset_stats:
-            self.stats = CacheStats()
+        self.stats = CacheStats()
 
     def reset_stats(self) -> None:
         """Zero the counters without dropping entries (for measuring the

@@ -349,7 +349,7 @@ class ControlPlaneService:
         plan = RolloutPlan(
             cve_id=record.cve_id, fleet_size=len(member_ids),
             canary=max(1, min(canary, len(member_ids))),
-            growth=max(1, growth), member_ids=list(member_ids))
+            growth=max(1, growth))
 
         def stream_wave(wave_dict: Dict[str, Any]) -> None:
             wave_dict = dict(wave_dict)

@@ -53,8 +53,7 @@ def ksplice_create(tree: SourceTree, patch: Union[Patch, str],
                    allow_data_changes: bool = False,
                    report: Optional[CreateReport] = None,
                    run_build: Optional[BuildResult] = None,
-                   trace: Optional[Trace] = None,
-                   absint: bool = True) -> UpdatePack:
+                   trace: Optional[Trace] = None) -> UpdatePack:
     """Construct an update pack from ``tree`` and a unified diff.
 
     ``options`` must describe how the *running* kernel was compiled
@@ -67,8 +66,7 @@ def ksplice_create(tree: SourceTree, patch: Union[Patch, str],
     quiescence analyses instead of judging from the patched units
     alone.  ``trace`` receives one stage report per pipeline step; pass
     the enclosing operation's trace to nest them under its current
-    stage.  ``absint=False`` skips the abstract-interpretation proof
-    engine (heuristic verdicts only — the benchmarking baseline).
+    stage.
     """
     trace = trace if trace is not None else Trace(label="ksplice-create")
     options = options or CompilerOptions()
@@ -152,8 +150,7 @@ def ksplice_create(tree: SourceTree, patch: Union[Patch, str],
 
     with trace.stage("analyze") as rep:
         analysis = analyze_update(pack, diffs, pre_objects, post_objects,
-                                  run_build=run_build, trace=trace,
-                                  absint=absint)
+                                  run_build=run_build, trace=trace)
         rep.counters["findings"] = len(analysis.findings)
         rep.counters["evidence"] = len(analysis.evidence)
         rep.artifacts["verdict"] = analysis.verdict

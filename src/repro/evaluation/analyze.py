@@ -104,13 +104,11 @@ def create_corpus_cve(spec_or_id: Union[CveSpec, str],
 
 
 def _create(spec: CveSpec, kernel: GeneratedKernel, patch: str,
-            trace: Optional[Trace] = None,
-            absint: bool = True) -> CreatedUpdate:
+            trace: Optional[Trace] = None) -> CreatedUpdate:
     report = CreateReport()
     pack = ksplice_create(kernel.tree, patch, description=spec.description,
                           allow_data_changes=True, report=report,
-                          run_build=run_build_for(kernel), trace=trace,
-                          absint=absint)
+                          run_build=run_build_for(kernel), trace=trace)
     assert report.analysis is not None  # create always analyzes
     refusals = [data_semantics_refusal(unit, diff)
                 for unit, diff in report.unit_diffs.items()]
@@ -119,18 +117,7 @@ def _create(spec: CveSpec, kernel: GeneratedKernel, patch: str,
 
 
 def analyze_corpus_cve(spec_or_id: Union[CveSpec, str],
-                       augmented: bool = True,
-                       use_cache: bool = True,
-                       absint: bool = True) -> AnalysisReport:
-    """The static analyzer's report for one corpus CVE.
-
-    This is the analysis half of :func:`create_corpus_cve`.
-    ``use_cache=False`` creates afresh and keeps nothing;
-    ``absint=False`` runs only the heuristic analyses — the
-    benchmarking baseline — and is never cached either, so a baseline
-    timing run cannot poison the proof-carrying entries.
-    """
-    if use_cache and absint:
-        return create_corpus_cve(spec_or_id, augmented=augmented).analysis
-    spec, kernel, _augmented, patch = _corpus_patch(spec_or_id, augmented)
-    return _create(spec, kernel, patch, absint=absint).analysis
+                       augmented: bool = True) -> AnalysisReport:
+    """The static analyzer's report for one corpus CVE: the analysis
+    half of :func:`create_corpus_cve`."""
+    return create_corpus_cve(spec_or_id, augmented=augmented).analysis

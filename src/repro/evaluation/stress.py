@@ -193,22 +193,17 @@ class StressReport:
     programs_run: int = 0
 
 
-def run_stress_battery(machine: Machine,
-                       interleave: bool = True) -> StressReport:
-    """Run the battery; with ``interleave`` the programs run concurrently
-    under the preemptive scheduler, which is how update bugs that only
-    bite under context switching get caught."""
+def run_stress_battery(machine: Machine) -> StressReport:
+    """Run the battery: the programs run concurrently under the
+    preemptive scheduler, which is how update bugs that only bite under
+    context switching get caught."""
     report = StressReport(passed=True)
     oops_before = len(machine.oopses)
     threads = []
     for name, source in BATTERY:
         threads.append((name, machine.load_user_program(
             source, name="stress-%s" % name)))
-    if interleave:
-        machine.run(max_instructions=3_000_000)
-    else:
-        for _, thread in threads:
-            machine.run_thread(thread, max_instructions=1_000_000)
+    machine.run(max_instructions=3_000_000)
 
     for name, thread in threads:
         report.programs_run += 1

@@ -21,7 +21,7 @@ Entry points: ``repro fleet rollout|status|rollback`` and
 :func:`~repro.fleet.orchestrator.rollout_corpus_cve`.
 """
 
-from repro.fleet.health import HealthPolicy, MemberHealth, check_machine
+from repro.fleet.health import MemberHealth, check_machine
 from repro.fleet.model import (
     GREEN,
     OUTCOME_COMPLETE,
@@ -52,7 +52,6 @@ __all__ = [
     "Fleet",
     "FleetMember",
     "GREEN",
-    "HealthPolicy",
     "InjectedFault",
     "MemberHealth",
     "MemberReport",

@@ -17,16 +17,19 @@ production story needs:
 
 The probe expectation flips per member within one wave — the canary
 members are patched while the rest of the fleet is not — which is why
-:func:`check_member` takes ``expect_patched`` explicitly.
+:func:`check_machine` takes ``expect_patched`` explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import MachineError
 from repro.kernel.machine import Machine, MachineHealth
+
+if TYPE_CHECKING:
+    from repro.evaluation.archetypes import ProbeSpec
 
 #: the :class:`MachineHealth` counters a member report carries.  The
 #: JIT's trace counters stay out: they depend on which traces earlier
@@ -34,34 +37,6 @@ from repro.kernel.machine import Machine, MachineHealth
 #: identical rollouts must write identical reports.
 REPORTED_COUNTERS = ("healthy", "oops_count", "faulted_threads",
                      "blocked_threads", "runnable_threads")
-
-
-@dataclass(frozen=True)
-class HealthPolicy:
-    """The workload probe a rollout runs between waves.
-
-    Built from a corpus CVE's :class:`ProbeSpec` —
-    ``function(args)`` returns ``pre_value`` on a vulnerable kernel and
-    ``post_value`` once properly patched.  ``setup`` calls run first,
-    results ignored.
-    """
-
-    function: str
-    args: Tuple[int, ...] = ()
-    pre_value: int = 0
-    post_value: int = 0
-    setup: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
-
-    @classmethod
-    def from_probe(cls, probe) -> "HealthPolicy":
-        """Adapt an evaluation ``ProbeSpec`` (duck-typed)."""
-        return cls(function=probe.function, args=tuple(probe.args),
-                   pre_value=probe.pre, post_value=probe.post,
-                   setup=tuple((fn, tuple(args))
-                               for fn, args in probe.setup))
-
-    def expected(self, patched: bool) -> int:
-        return self.post_value if patched else self.pre_value
 
 
 @dataclass
@@ -80,9 +55,14 @@ class MemberHealth:
 
 
 def check_machine(machine: Machine,
-                  policy: Optional[HealthPolicy],
+                  probe: Optional["ProbeSpec"],
                   expect_patched: bool) -> MemberHealth:
-    """The full health gate for one live machine."""
+    """The full health gate for one live machine.
+
+    ``probe`` is the corpus CVE's workload probe (None skips it):
+    ``function(args)`` must return ``post`` on a patched member and
+    ``pre`` on an unpatched one, after the ``setup`` calls run.
+    """
     snapshot = machine.health()
     health = MemberHealth(healthy=snapshot.healthy,
                           machine=_reported(snapshot))
@@ -92,9 +72,9 @@ def check_machine(machine: Machine,
             "oops on thread %s at 0x%08x: %s"
             % (oops.thread_name, oops.ip, oops.message) if oops
             else "%d faulted thread(s)" % snapshot.faulted_threads)
-    if policy is not None:
+    if probe is not None:
         try:
-            value = _run_policy_probe(machine, policy)
+            value = _run_probe(machine, probe)
         except MachineError as exc:
             health.healthy = False
             health.reasons.append("health probe faulted: %s" % exc)
@@ -103,12 +83,12 @@ def check_machine(machine: Machine,
             health.machine = _reported(machine.health())
             return health
         health.probe_value = value
-        expected = policy.expected(expect_patched)
+        expected = probe.post if expect_patched else probe.pre
         if value != expected:
             health.healthy = False
             health.reasons.append(
                 "probe %s returned %d, expected %d (%s member)"
-                % (policy.function, value, expected,
+                % (probe.function, value, expected,
                    "patched" if expect_patched else "unpatched"))
     return health
 
@@ -118,8 +98,8 @@ def _reported(snapshot: MachineHealth) -> dict:
     return {key: counters[key] for key in REPORTED_COUNTERS}
 
 
-def _run_policy_probe(machine: Machine, policy: HealthPolicy) -> int:
-    for fn, args in policy.setup:
+def _run_probe(machine: Machine, probe: "ProbeSpec") -> int:
+    for fn, args in probe.setup:
         machine.call_function(fn, list(args))
-    value = machine.call_function(policy.function, list(policy.args))
+    value = machine.call_function(probe.function, list(probe.args))
     return value if value is not None else 0

@@ -124,9 +124,6 @@ class RolloutPlan:
     #: under-load rollout mode
     workload: str = "spinner"
     faults: List[InjectedFault] = field(default_factory=list)
-    #: registry-backed mode (the control plane): names the registered
-    #: member behind each fleet index, one per member, in wave order
-    member_ids: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.fleet_size < 1:
@@ -137,10 +134,6 @@ class RolloutPlan:
             raise RolloutError("growth must be >= 1")
         if self.workload not in ("spinner", "stress"):
             raise RolloutError("workload must be 'spinner' or 'stress'")
-        if self.member_ids and len(self.member_ids) != self.fleet_size:
-            raise RolloutError("member_ids names %d members for a "
-                               "fleet of %d"
-                               % (len(self.member_ids), self.fleet_size))
         for fault in self.faults:
             if not 0 <= fault.member < self.fleet_size:
                 raise RolloutError("fault member %d outside fleet 0..%d"
@@ -175,7 +168,6 @@ class RolloutPlan:
             "probe": self.probe,
             "workload": self.workload,
             "faults": [f.to_json_dict() for f in self.faults],
-            "member_ids": list(self.member_ids),
         }
 
     @classmethod
@@ -190,8 +182,7 @@ class RolloutPlan:
             probe=bool(data.get("probe", True)),
             workload=str(data.get("workload", "spinner")),
             faults=[InjectedFault.from_json_dict(f)
-                    for f in data.get("faults", [])],
-            member_ids=[str(m) for m in data.get("member_ids", [])])
+                    for f in data.get("faults", [])])
 
 
 @dataclass

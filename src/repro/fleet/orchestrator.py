@@ -40,12 +40,12 @@ member killed         ``lost``                   unreachable — recorded
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.core.apply import KspliceCore
 from repro.core.update import UpdatePack
 from repro.errors import KspliceError, StackCheckError
-from repro.fleet.health import HealthPolicy, check_machine
+from repro.fleet.health import check_machine
 from repro.fleet.model import (
     FAULT_KILL,
     FAULT_OOPS,
@@ -70,8 +70,14 @@ from repro.kernel.machine import Machine, boot_kernel
 from repro.pipeline.stage import FAILED
 from repro.pipeline.trace import Trace
 
+if TYPE_CHECKING:
+    from repro.evaluation.archetypes import ProbeSpec
+
 #: the keepalive spinner's tick budget — effectively forever
 _SPINNER_TICKS = 1 << 30
+
+#: instructions each member runs between its stack-check retries
+_RETRY_RUN_INSTRUCTIONS = 2_000
 
 #: an unmapped address; jumping here is the injected oops
 _OOPS_ADDRESS = 0x10
@@ -103,8 +109,6 @@ class Fleet:
 
     @classmethod
     def boot(cls, kernel, size: int,
-             stack_check_retries: int = 5,
-             retry_run_instructions: int = 2_000,
              workload: str = "spinner") -> "Fleet":
         """Boot ``size`` machines of a generated kernel.
 
@@ -139,8 +143,7 @@ class Fleet:
                 index=index, machine=machine,
                 core=KspliceCore(
                     machine,
-                    stack_check_retries=stack_check_retries,
-                    retry_run_instructions=retry_run_instructions)))
+                    retry_run_instructions=_RETRY_RUN_INSTRUCTIONS)))
         return fleet
 
     def alive_members(self) -> List[FleetMember]:
@@ -155,13 +158,13 @@ class RolloutOrchestrator:
     """Drives one :class:`RolloutPlan` over one :class:`Fleet`."""
 
     def __init__(self, fleet: Fleet, plan: RolloutPlan,
-                 policy: Optional[HealthPolicy] = None,
+                 probe: Optional["ProbeSpec"] = None,
                  trace: Optional[Trace] = None,
                  kernel_version: str = "",
                  on_wave=None):
         self.fleet = fleet
         self.plan = plan
-        self.policy = policy if plan.probe else None
+        self.probe = probe if plan.probe else None
         self.trace = trace if trace is not None else Trace(
             label=plan.rollout_id())
         self.kernel_version = kernel_version
@@ -331,7 +334,7 @@ class RolloutOrchestrator:
         the wave as a bystander.  True = all green."""
         all_healthy = True
         for member in self.fleet.alive_members():
-            health = check_machine(member.machine, self.policy,
+            health = check_machine(member.machine, self.probe,
                                    expect_patched=member.updated)
             member_report = wave.report_for(member.index)
             if member_report is not None:
@@ -384,7 +387,7 @@ class RolloutOrchestrator:
                          if m.index not in red_members]
             healthy = True
             for member in survivors:
-                health = check_machine(member.machine, self.policy,
+                health = check_machine(member.machine, self.probe,
                                        expect_patched=member.updated)
                 if not health.healthy:
                     healthy = False
@@ -461,15 +464,12 @@ def rollout_corpus_cve(plan: RolloutPlan,
         label=plan.rollout_id())
     spec, pack, analysis = _corpus_update(plan.cve_id, trace,
                                           "unknown CVE id %r")
-    policy = None
-    if plan.probe and spec.probe is not None:
-        policy = HealthPolicy.from_probe(spec.probe)
     with trace.stage("boot-fleet") as rep:
         fleet = Fleet.boot(kernel_for_version(spec.kernel_version),
                            plan.fleet_size, workload=plan.workload)
         rep.counters["members"] = plan.fleet_size
     orchestrator = RolloutOrchestrator(
-        fleet, plan, policy=policy, trace=trace,
+        fleet, plan, probe=spec.probe, trace=trace,
         kernel_version=spec.kernel_version, on_wave=on_wave)
     return orchestrator.run(pack, analysis=analysis)
 

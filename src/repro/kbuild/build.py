@@ -8,7 +8,6 @@ from typing import Dict, Iterable, Optional
 from repro.compiler import (
     CompilerOptions,
     InlineReport,
-    compile_source,
     compile_source_cached,
 )
 from repro.errors import BuildError
@@ -44,21 +43,19 @@ class BuildResult:
 
 
 def build_units(tree: SourceTree, unit_paths: Iterable[str],
-                options: Optional[CompilerOptions] = None,
-                use_cache: bool = True) -> BuildResult:
+                options: Optional[CompilerOptions] = None) -> BuildResult:
     """Compile only ``unit_paths`` from ``tree`` (incremental build).
 
     Compiles are content-addressed (``repro.compiler.cache``): a unit
     whose source and options match an earlier compile — the same base
     unit in another kernel version, an unpatched unit in a later
     ksplice-create pre build — reuses the cached object instead of
-    recompiling.  ``use_cache=False`` forces fresh compiles.
+    recompiling.
     """
     options = options or CompilerOptions()
-    compiler = compile_source_cached if use_cache else compile_source
     result = BuildResult(tree_version=tree.version, options=options)
     for path in unit_paths:
-        compiled = compiler(tree.read(path), path, options)
+        compiled = compile_source_cached(tree.read(path), path, options)
         result.objects[path] = compiled.objfile
         result.inline_reports[path] = compiled.inline_report
     return result

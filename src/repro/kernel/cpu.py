@@ -15,7 +15,6 @@ code — Ksplice's jump insertion — is observed immediately; see
 from __future__ import annotations
 
 import enum
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -433,9 +432,9 @@ class TraceStats:
 
 TRACE_STATS = TraceStats()
 
-#: JIT kill switch: REPRO_JIT=0 runs the pure interpreter (the bench
-#: uses set_jit_enabled to measure both sides of the same workload).
-_JIT_ENABLED = os.environ.get("REPRO_JIT", "1") != "0"
+#: JIT switch: off runs the pure interpreter (the bench and the tests
+#: use set_jit_enabled to run both sides of the same workload).
+_JIT_ENABLED = True
 
 
 def set_jit_enabled(enabled: bool) -> bool:
@@ -460,8 +459,7 @@ class _DecodeCache:
     instructions into a new Memory reusing a collected one's address.
     Memory invalidates *in place* on executable writes (push
     invalidation), so the hot loop in :func:`run_slice` can alias the
-    dicts without a per-instruction version check; ``version`` remains
-    as a pull-based fallback for a cache attached after writes happened.
+    dicts without a per-instruction version check.
 
     ``traces`` maps entry PC -> :class:`~repro.kernel.jit.CompiledTrace`
     and ``counters`` holds per-PC back-edge hotness counts; both ride
@@ -469,12 +467,11 @@ class _DecodeCache:
     a stale trace.  The stat fields feed ``MachineHealth``.
     """
 
-    __slots__ = ("version", "entries", "traces", "counters", "recording",
+    __slots__ = ("entries", "traces", "counters", "recording",
                  "traced_insns", "trace_hits", "compiled", "adopted",
                  "evicted", "code_words")
 
     def __init__(self) -> None:
-        self.version = -1
         self.entries: dict = {}
         self.traces: dict = {}
         self.counters: dict = {}
@@ -490,9 +487,8 @@ class _DecodeCache:
         #: registers them here; an adopted trace registers its path's
         #: words when it binds.  A write whose words all miss this set
         #: cannot overlap cached code, so ``invalidate_range`` returns
-        #: without scanning anything.  Grows monotonically (cleared
-        #: only with the whole cache); staying large after evictions
-        #: is merely conservative.
+        #: without scanning anything.  Grows monotonically; staying
+        #: large after evictions is merely conservative.
         self.code_words: set = set()
 
     def invalidate_range(self, address: int, count: int) -> None:
@@ -542,27 +538,13 @@ class _DecodeCache:
         if rec is not None and rec.overlaps(address, address + count):
             self.recording = None
 
-    def invalidate_all(self) -> None:
-        self.entries.clear()
-        if self.traces:
-            self.evicted += len(self.traces)
-            TRACE_STATS.evicted += len(self.traces)
-            for trace in self.traces.values():
-                trace.valid = False
-            self.traces.clear()
-        self.counters.clear()
-        self.recording = None
-        self.code_words.clear()
-
 
 def _cache_for(memory: Memory) -> _DecodeCache:
+    """``memory``'s decode cache, attached empty on first use."""
     cache = memory._decode_cache
     if cache is None:
         cache = _DecodeCache()
         memory._decode_cache = cache
-    if cache.version != memory.write_version:
-        cache.version = memory.write_version
-        cache.invalidate_all()
     return cache
 
 
@@ -727,7 +709,8 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
                     # side exit, budget left: fall into the full loop
                     executed = ran
                 else:
-                    # refused the budget: interpret, don't redispatch
+                    # nothing retired (a fault on the first
+                    # instruction): interpret, don't redispatch
                     check = False
         entries = cache.entries
         entries_get = entries.get

@@ -76,11 +76,6 @@ HOT_THRESHOLD = 8
 #: instruction cap along one recorded pass of a trace
 MAX_TRACE_INSNS = 128
 
-#: longest non-looping path that still gets a budget-checked body for
-#: partial passes; longer ones refuse small budgets instead (the
-#: interpreter covers the tail) to keep their compile cost down
-CAREFUL_MAX = 128
-
 #: the trace library: entry PC -> published templates, oldest first.
 #: Rollouts run on daemon threads, so publishing replaces an entry's
 #: tuple under :data:`_LIBRARY_LOCK` and never mutates one a reader
@@ -200,15 +195,12 @@ class CompiledTrace:
     """One compiled path: entry PC, covered byte range, executor.
 
     ``fn(state, memory, budget)`` returns ``(executed, event, fault)``
-    exactly like ``run_slice``'s inner step.  A *looping* trace checks
-    the budget before every instruction of the final partial pass, so
-    it consumes any positive budget and stops at the precise
-    instruction boundary the interpreter would have stopped at.  A
-    non-looping trace instead refuses a budget smaller than its path
-    (``executed == 0``) and the interpreter covers the short tail —
-    either way quantum accounting is bit-identical.  ``valid`` is
-    flipped by range invalidation so a running trace observes its own
-    code being patched.
+    exactly like ``run_slice``'s inner step.  Every trace checks the
+    budget before each instruction of its final partial pass, so it
+    consumes any positive budget and stops at the precise instruction
+    boundary the interpreter would have stopped at: quantum accounting
+    is bit-identical.  ``valid`` is flipped by range invalidation so a
+    running trace observes its own code being patched.
     """
 
     __slots__ = ("entry", "lo", "hi", "fn", "valid")
@@ -831,18 +823,6 @@ def _generate_source(entry: int,
     emit(1, "def _trace(state, memory, budget,")
     emit(1, "           _t=_t, _r=_r, _w=_w, _S=_S, _CW=_CW,")
     emit(1, "           _N=_N, _SY=_SY, _SC=_SC, _H=_H, _ME=_ME):")
-    has_careful = kind == "loop" or length <= CAREFUL_MAX
-    if not has_careful:
-        # A long non-looping trace executes its path at most once, so
-        # instead of compiling a second per-step budget-checked body
-        # for the quantum's final partial pass, it *refuses* a budget
-        # that cannot cover a whole pass: ``run_slice`` interprets the
-        # short tail instruction by instruction (bit-identical by
-        # construction).  This halves the generated source — and
-        # compiling trace variants is the JIT's dominant one-time
-        # cost on syscall-heavy workloads.
-        emit(2, "if budget < %d:" % length)
-        emit(3, "return 0, _N, None")
     if used:
         emit(2, "regs = state.regs")
     for i in used:
@@ -865,22 +845,17 @@ def _generate_source(entry: int,
     # the while.  Exit accounting is unchanged — ``n`` accrues per
     # copy, so a side exit anywhere reports the exact boundary.
     unroll = 4 if kind == "loop" and length <= 32 else 1
-    if has_careful:
-        # Fast body: a whole pass of budget remains, so no per-step
-        # budget checks.  Every exit breaks to the shared epilogue.
-        emit(4, "if budget - n >= %d:" % (length * unroll))
-        for j in range(unroll):
-            emit_body(5, careful=False, close=j == unroll - 1)
-        # Careful body: the final partial pass.  ``lim`` is how many
-        # more instructions may retire; it only changes when the loop
-        # closes (n += pass length, falling back to the top), so it
-        # is hoisted out of the per-step checks.
-        emit(4, "lim = budget - n")
-        emit_body(4, careful=True)
-    else:
-        # Entry guard above proved the budget covers the whole pass;
-        # every exit breaks to the shared epilogue.
-        emit_body(4, careful=False)
+    # Fast body: a whole pass of budget remains, so no per-step
+    # budget checks.  Every exit breaks to the shared epilogue.
+    emit(4, "if budget - n >= %d:" % (length * unroll))
+    for j in range(unroll):
+        emit_body(5, careful=False, close=j == unroll - 1)
+    # Careful body: the final partial pass.  ``lim`` is how many
+    # more instructions may retire; it only changes when the loop
+    # closes (n += pass length, falling back to the top), so it
+    # is hoisted out of the per-step checks.
+    emit(4, "lim = budget - n")
+    emit_body(4, careful=True)
     emit(2, "except _ME as exc:")
     emit_sync(3)
     emit(3, "return n + _f, _N, str(exc)")

@@ -65,9 +65,6 @@ class Memory:
     def __init__(self) -> None:
         self._segments: List[Segment] = []
         self._last_hit: Optional[Segment] = None
-        #: bumped on every write; lets the CPU cache decoded instructions
-        #: and still observe self-modifying code (jump insertion).
-        self.write_version = 0
         #: decode cache attached by the CPU (repro.kernel.cpu).  Writes
         #: to executable segments clear it in place, so the CPU's hot
         #: loop needs no per-instruction version check.
@@ -150,11 +147,9 @@ class Memory:
         that mutate ``segment.data`` directly (the module loader's
         relocation patching) must call this themselves.
         """
-        self.write_version += 1
         cache = self._decode_cache
         if cache is not None:
             cache.invalidate_range(address, count)
-            cache.version = self.write_version
 
     # -- JIT fast accessors ---------------------------------------------------
 

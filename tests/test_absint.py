@@ -11,16 +11,11 @@ from repro.analysis.absint import (
     analyze_abi,
     analyze_escapes,
     caller_arg_counts,
-    downgrade_unwitnessed_shadow,
     equivalence_evidence,
     function_summary,
-    image_change_evidence,
-    init_writer_evidence,
     join_states,
     join_values,
     run_absint,
-    shadow_api_evidence,
-    sleep_path_evidence,
     summarize_function,
 )
 from repro.analysis.absint.domain import (
@@ -32,17 +27,26 @@ from repro.analysis.absint.domain import (
     signed32,
     stackaddr,
 )
+from repro.analysis.datalayout import (
+    analyze_data_layout,
+    analyze_init_only_writers,
+)
 from repro.analysis.model import (
     EVIDENCE_ABI,
+    EVIDENCE_DATA_IMAGE,
     EVIDENCE_EQUIVALENCE,
+    EVIDENCE_SHADOW_API,
+    EVIDENCE_SLEEP_PATH,
     VERDICT_NEEDS_SHADOW,
     VERDICT_REJECT,
     VERDICT_SAFE,
-    Finding,
 )
+from repro.analysis.quiescence import analyze_quiescence
 from repro.arch.assembler import Insn, assemble
 from repro.arch.isa import REG_FP, REG_SP
 from repro.compiler import CompilerOptions, compile_source
+from repro.core import diff_objects
+from repro.core.objdiff import UnitDiff
 from repro.kbuild import SourceTree, build_tree
 from repro.objfile import ObjectFile, Section, SectionKind
 
@@ -274,40 +278,37 @@ int publish(int x) {
 """
 
 
+def resized_escapes(pre_src, post_src, unit="kernel/esc.c"):
+    pre = compile_fs(pre_src, unit)
+    post = compile_fs(post_src, unit)
+    return analyze_escapes(unit, diff_objects(pre, post), pre, post, None)
+
+
 def test_escape_witnessed_when_pointer_stored():
-    post = compile_fs(ESCAPE_SRC, "kernel/esc.c")
-    evidence, seen = analyze_escapes("kernel/esc.c", {"table"},
-                                     post, None)
-    assert seen == {"table": True}
+    findings, evidence = resized_escapes(
+        ESCAPE_SRC.replace("table[4]", "table[2]"), ESCAPE_SRC)
+    # a witnessed symbol keeps its needs-shadow finding
+    assert [(f.symbol, f.verdict) for f in findings] == [
+        ("table", VERDICT_NEEDS_SHADOW)]
     assert evidence[0].facts["escapes"] >= 1
     assert any("pointer stored" in site for site in evidence[0].sites)
 
 
 def test_no_escape_enables_downgrade():
-    post = compile_fs("""
+    source = """
 int scratch[2];
 
 int probe(int x) {
     return x;
 }
-""", "kernel/esc.c")
-    evidence, seen = analyze_escapes("kernel/esc.c", {"scratch"},
-                                     post, None)
-    assert seen == {"scratch": False}
+"""
+    findings, evidence = resized_escapes(
+        source, source.replace("scratch[2]", "scratch[4]"))
+    assert evidence[0].facts["anything_escapes"] is False
     assert "nothing escapes" in evidence[0].detail
-
-    finding = Finding(analysis="data-layout",
-                      verdict=VERDICT_NEEDS_SHADOW,
-                      unit="kernel/esc.c", symbol="scratch",
-                      detail="data symbol resized: 8 -> 16 bytes")
-    out = downgrade_unwitnessed_shadow(
-        [finding], {("kernel/esc.c", "scratch"): False})
-    assert [f.verdict for f in out] == [VERDICT_SAFE]
-    assert out[0].analysis == "absint-escape"
-    # a witnessed symbol keeps its needs-shadow finding
-    kept = downgrade_unwitnessed_shadow(
-        [finding], {("kernel/esc.c", "scratch"): True})
-    assert [f.verdict for f in kept] == [VERDICT_NEEDS_SHADOW]
+    assert [f.verdict for f in findings] == [VERDICT_SAFE]
+    assert findings[0].analysis == "absint-escape"
+    assert findings[0].symbol == "scratch"
 
 
 def test_shadow_api_call_sites_witnessed():
@@ -319,8 +320,11 @@ int bump(int x) {
     return ksplice_shadow_get(x, 1);
 }
 """, "kernel/sh.c")
-    evidence = shadow_api_evidence("kernel/sh.c", pre, post)
+    _findings, evidence = analyze_data_layout(
+        {"kernel/sh.c": diff_objects(pre, post)}, {"kernel/sh.c": pre},
+        {"kernel/sh.c": post})
     assert [e.symbol for e in evidence] == ["ksplice_shadow_get"]
+    assert evidence[0].kind == EVIDENCE_SHADOW_API
     assert evidence[0].facts["call_sites"] == 1
     assert "call ksplice_shadow_get" in evidence[0].sites[0]
 
@@ -355,9 +359,11 @@ int sys_widget(int a, int b, int c) {
 def test_sleep_path_evidence_pins_every_hop():
     graph = build_call_graph(build_tree(SLEEP_TREE,
                                         CompilerOptions(opt_level=0)))
-    ev = sleep_path_evidence(graph, "kernel/widget.c", "sys_widget",
-                             None)
-    assert ev is not None
+    _findings, evidence = analyze_quiescence(
+        graph, {"kernel/widget.c": UnitDiff(
+            unit="kernel/widget.c", changed_functions=["sys_widget"])}, {})
+    assert [e.kind for e in evidence] == [EVIDENCE_SLEEP_PATH]
+    ev = evidence[0]
     assert ev.facts["hops"] == 2
     assert ev.facts["chain"][-1] == "kernel/sched.c:schedule"
     assert any("call widget_wait" in site for site in ev.sites)
@@ -367,14 +373,19 @@ def test_sleep_path_evidence_pins_every_hop():
         version="quiet", files={
             "kernel/m.c": "int pure(int x) { return x * 3; }\n"}),
         CompilerOptions(opt_level=0)))
-    assert sleep_path_evidence(quiet, "kernel/m.c", "pure", None) is None
+    assert analyze_quiescence(quiet, {"kernel/m.c": UnitDiff(
+        unit="kernel/m.c", changed_functions=["pure"])}, {}) == ([], [])
 
 
 def test_sleep_path_degrades_to_own_text():
     pre = compile_fs(SLEEP_TREE.files["kernel/sched.c"],
                      "kernel/sched.c")
-    ev = sleep_path_evidence(None, "kernel/sched.c", "schedule", pre)
-    assert ev is not None
+    _findings, evidence = analyze_quiescence(
+        None, {"kernel/sched.c": UnitDiff(
+            unit="kernel/sched.c", changed_functions=["schedule"])},
+        {"kernel/sched.c": pre})
+    assert [e.kind for e in evidence] == [EVIDENCE_SLEEP_PATH]
+    ev = evidence[0]
     assert ev.facts["hops"] == 0
     assert "sleep instruction" in ev.sites[0]
 
@@ -385,8 +396,11 @@ def test_sleep_path_degrades_to_own_text():
 def test_image_change_evidence_spans_the_differing_bytes():
     pre = compile_fs("int counter = 5;\n", "kernel/d.c")
     post = compile_fs("int counter = 6;\n", "kernel/d.c")
-    ev = image_change_evidence("kernel/d.c", ".data.counter",
-                               pre, post, None)
+    _findings, evidence = analyze_data_layout(
+        {"kernel/d.c": diff_objects(pre, post)}, {"kernel/d.c": pre},
+        {"kernel/d.c": post})
+    [ev] = evidence
+    assert ev.kind == EVIDENCE_DATA_IMAGE
     assert ev.symbol == "counter"
     assert ev.facts["first_diff"] == 0
     assert ev.facts["pre_size"] == ev.facts["post_size"] == 4
@@ -419,32 +433,35 @@ def test_init_writer_evidence_names_the_data_and_boot_chain():
     pre = compile_fs(BOOT_TREE.files["drivers/dev.c"], "drivers/dev.c")
     post = compile_fs(BOOT_TREE.files["drivers/dev.c"].replace(
         "= 7", "= 8"), "drivers/dev.c")
-    ev = init_writer_evidence(graph, "drivers/dev.c", "boot_setup",
-                              pre, post)
-    assert ev is not None
+    _findings, evidence = analyze_init_only_writers(
+        graph, {"drivers/dev.c": diff_objects(pre, post)},
+        {"drivers/dev.c": pre}, {"drivers/dev.c": post})
+    [ev] = evidence
     assert ev.facts["data_symbols"] == ["dev_table"]
     assert ev.facts["boot_only"] is True
     assert any("references persistent data dev_table" in site
                for site in ev.sites)
-    # a function touching no persistent data yields no witness
-    none_pre = compile_fs("int pure(int x) { return x; }", "k.c")
-    assert init_writer_evidence(graph, "k.c", "pure",
-                                none_pre, none_pre) is None
+    # a boot-only function touching no persistent data yields no witness
+    quiet_pre = compile_fs("int boot_setup(void) { return 0; }",
+                           "drivers/dev.c")
+    quiet_post = compile_fs("int boot_setup(void) { return 1; }",
+                            "drivers/dev.c")
+    assert analyze_init_only_writers(
+        graph, {"drivers/dev.c": diff_objects(quiet_pre, quiet_post)},
+        {"drivers/dev.c": quiet_pre},
+        {"drivers/dev.c": quiet_post}) == ([], [])
 
 
 # -- engine ----------------------------------------------------------------
 
 
 def test_run_absint_attaches_proofs_per_changed_function():
-    from repro.core import diff_objects
-
     pre = compile_fs(ABI_PRE, "kernel/widget.c")
     post = compile_fs(ABI_PRE.replace("a + 1", "a + 2"),
                       "kernel/widget.c")
     diffs = {"kernel/widget.c": diff_objects(pre, post)}
     findings, evidence = run_absint(diffs, {"kernel/widget.c": pre},
-                                    {"kernel/widget.c": post},
-                                    None, None, [])
+                                    {"kernel/widget.c": post}, None)
     assert findings == []
     kinds = sorted(e.kind for e in evidence)
     assert kinds == [EVIDENCE_ABI, EVIDENCE_EQUIVALENCE]
@@ -468,15 +485,3 @@ def test_analyzer_version_bump_invalidates_cached_verdicts(monkeypatch):
 
     monkeypatch.undo()
     assert analyze_corpus_cve("CVE-2006-2451") is first
-
-
-def test_baseline_heuristic_run_is_never_cached():
-    from repro.evaluation.analyze import analyze_corpus_cve
-
-    baseline = analyze_corpus_cve("CVE-2006-2451", absint=False)
-    assert baseline.evidence == []
-    assert not baseline.is_proven()
-    assert analyze_corpus_cve("CVE-2006-2451", absint=False) \
-        is not baseline
-    # and it never displaces the proof-carrying entry
-    assert analyze_corpus_cve("CVE-2006-2451").is_proven()

@@ -13,6 +13,7 @@ from repro.analysis import (
     Finding,
     build_call_graph,
 )
+from repro.analysis.absint import run_absint
 from repro.analysis.datalayout import (
     analyze_data_layout,
     analyze_init_only_writers,
@@ -194,7 +195,8 @@ def test_quiescence_flags_transitive_sleep_chain():
     graph = graph_for()
     diffs = {"kernel/sys.c": UnitDiff(unit="kernel/sys.c",
                                       changed_functions=["sys_counter"])}
-    findings = analyze_quiescence(graph, diffs, {}, stack_check_retries=5)
+    findings, _evidence = analyze_quiescence(graph, diffs, {},
+                                             stack_check_retries=5)
     assert len(findings) == 1
     finding = findings[0]
     assert finding.verdict == VERDICT_QUIESCE_RISK
@@ -207,21 +209,23 @@ def test_quiescence_quiet_for_non_sleeping_function():
     graph = graph_for()
     diffs = {"drivers/dev.c": UnitDiff(unit="drivers/dev.c",
                                        changed_functions=["pure_math"])}
-    assert analyze_quiescence(graph, diffs, {}) == []
+    assert analyze_quiescence(graph, diffs, {}) == ([], [])
 
 
 def test_quiescence_degrades_to_own_text_scan_without_run_build():
     pre = compile_one(GRAPH_TREE.files["kernel/sched.c"], "kernel/sched.c")
     diffs = {"kernel/sched.c": UnitDiff(unit="kernel/sched.c",
                                         changed_functions=["schedule"])}
-    findings = analyze_quiescence(None, diffs, {"kernel/sched.c": pre})
+    findings, _evidence = analyze_quiescence(None, diffs,
+                                             {"kernel/sched.c": pre})
     assert [f.symbol for f in findings] == ["schedule"]
     assert "sleep instruction" in findings[0].detail
     # and a non-sleeping function stays quiet in degraded mode too
     pre2 = compile_one(GRAPH_TREE.files["drivers/dev.c"], "drivers/dev.c")
     diffs2 = {"drivers/dev.c": UnitDiff(unit="drivers/dev.c",
                                         changed_functions=["pure_math"])}
-    assert analyze_quiescence(None, diffs2, {"drivers/dev.c": pre2}) == []
+    assert analyze_quiescence(None, diffs2,
+                              {"drivers/dev.c": pre2}) == ([], [])
 
 
 # -- data layout -----------------------------------------------------------
@@ -239,18 +243,44 @@ int bump(int x) {
 
 def test_changed_initializer_needs_hooks():
     post = DATA_BASE.replace("int counter = 5;", "int counter = 6;")
-    findings = analyze_data_layout(*unit_analysis_inputs(DATA_BASE, post))
+    findings, _evidence = analyze_data_layout(
+        *unit_analysis_inputs(DATA_BASE, post))
     hooks = [f for f in findings if f.verdict == VERDICT_NEEDS_HOOKS]
     assert [f.symbol for f in hooks] == ["counter"]
     assert "initializer changed" in hooks[0].detail
 
 
+# ``publish`` stores a pointer into ``buf``: the array escapes
+ESCAPING_BASE = DATA_BASE + """
+int holder;
+
+int publish(int x) {
+    holder = buf;
+    return x;
+}
+"""
+
+
 def test_resized_data_needs_shadow():
-    post = DATA_BASE.replace("int buf[2];", "int buf[4];")
-    findings = analyze_data_layout(*unit_analysis_inputs(DATA_BASE, post))
+    post = ESCAPING_BASE.replace("int buf[2];", "int buf[4];")
+    findings, _evidence = run_absint(
+        *unit_analysis_inputs(ESCAPING_BASE, post), None)
     shadow = [f for f in findings if f.verdict == VERDICT_NEEDS_SHADOW]
     assert [f.symbol for f in shadow] == ["buf"]
     assert "8 -> 16 bytes" in shadow[0].detail
+
+
+def test_resized_data_nothing_escapes_is_a_safe_note():
+    """``bump`` only indexes ``buf``: no pointer into it survives, so
+    the resize is reported as an informational note."""
+    post = DATA_BASE.replace("int buf[2];", "int buf[4];")
+    findings, evidence = run_absint(
+        *unit_analysis_inputs(DATA_BASE, post), None)
+    assert [(f.analysis, f.verdict, f.symbol) for f in findings] == [
+        ("absint-escape", VERDICT_SAFE, "buf")]
+    assert "resized" in findings[0].detail
+    escape = [e for e in evidence if e.kind == "escape"]
+    assert escape[0].facts["anything_escapes"] is False
 
 
 def test_shadow_api_adoption_needs_shadow():
@@ -259,7 +289,8 @@ def test_shadow_api_adoption_needs_shadow():
         "int ksplice_shadow_get(int obj, int key);\n"
         "int bump(int x) {\n    if (ksplice_shadow_get(x, 1) < 0) "
         "{ return -1; }")
-    findings = analyze_data_layout(*unit_analysis_inputs(DATA_BASE, post))
+    findings, _evidence = analyze_data_layout(
+        *unit_analysis_inputs(DATA_BASE, post))
     shadow = [f for f in findings if f.verdict == VERDICT_NEEDS_SHADOW]
     assert [f.symbol for f in shadow] == ["ksplice_shadow_get"]
 
@@ -269,7 +300,8 @@ def test_hooks_reported_as_informational():
 int fixup(void) { return 0; }
 __ksplice_apply__(fixup);
 """
-    findings = analyze_data_layout(*unit_analysis_inputs(DATA_BASE, post))
+    findings, _evidence = analyze_data_layout(
+        *unit_analysis_inputs(DATA_BASE, post))
     notes = [f for f in findings if f.verdict == VERDICT_SAFE]
     assert len(notes) == 1
     assert ".ksplice_apply" in notes[0].detail
@@ -284,7 +316,7 @@ __ksplice_apply__(fixup);
     diffs, pres, posts = unit_analysis_inputs(DATA_BASE, post)
     # fixup itself is new code; strip it so only the hook table remains
     diffs["u.c"].new_functions = []
-    findings = analyze_data_layout(diffs, pres, posts)
+    findings, _evidence = analyze_data_layout(diffs, pres, posts)
     notes = [f for f in findings if f.verdict == VERDICT_SAFE]
     assert notes and notes[0].detail.startswith("hook-only unit")
 
@@ -299,9 +331,8 @@ def test_init_only_writer_needs_hooks():
     post = compile_one(post_src, "drivers/dev.c")
     diffs = {"drivers/dev.c": diff_objects(pre, post)}
     assert diffs["drivers/dev.c"].changed_functions == ["boot_setup"]
-    findings = analyze_init_only_writers(graph, diffs,
-                                         {"drivers/dev.c": pre},
-                                         {"drivers/dev.c": post})
+    findings, _evidence = analyze_init_only_writers(
+        graph, diffs, {"drivers/dev.c": pre}, {"drivers/dev.c": post})
     assert len(findings) == 1
     assert findings[0].verdict == VERDICT_NEEDS_HOOKS
     assert findings[0].symbol == "boot_setup"
@@ -318,7 +349,7 @@ def test_init_only_writer_quiet_for_syscall_reachable_function():
     diffs = {"kernel/sys.c": diff_objects(pre, post)}
     assert "sys_counter" in diffs["kernel/sys.c"].changed_functions
     assert analyze_init_only_writers(graph, diffs, {"kernel/sys.c": pre},
-                                     {"kernel/sys.c": post}) == []
+                                     {"kernel/sys.c": post}) == ([], [])
 
 
 # -- lint ------------------------------------------------------------------

@@ -18,9 +18,13 @@ The cross-check rules live in
   (the abstract-interpretation engine, :mod:`repro.analysis.absint`).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis import (
+    ANALYZER_VERSION,
     VERDICT_NEEDS_HOOKS,
     VERDICT_NEEDS_SHADOW,
     VERDICT_SAFE,
@@ -34,6 +38,7 @@ from repro.analysis.model import (
     PROOF_KINDS,
 )
 from repro.evaluation import clear_caches
+from repro.evaluation.analyze import analyze_corpus_cve
 from repro.evaluation.corpus import CORPUS
 from repro.evaluation.engine import verdict_discrepancies
 from repro.evaluation.harness import evaluate_corpus
@@ -176,3 +181,27 @@ def test_discrepancy_rules_detect_a_seeded_mismatch(corpus_report):
     victim.analysis_verdict = VERDICT_NEEDS_HOOKS
     flagged = verdict_discrepancies(results)
     assert any(victim.cve_id in line for line in flagged)
+
+
+#: sha256 over the sorted-JSON reports of the 64 seed CVEs (sorted by
+#: id; plain patch, then augmented), one newline-terminated line each
+SEED_REPORTS_DIGEST = \
+    "e9ce19884a336840aba63ca010cca5a647a7bf804bc70fe533d33818a7f60cb3"
+
+
+def test_seed_reports_match_the_pinned_digest():
+    """The analyzer's output is pinned byte for byte: a restructured
+    analyzer must reproduce every finding, witness and verdict."""
+    digest = hashlib.sha256()
+    for spec in sorted(CORPUS, key=lambda s: s.cve_id):
+        for augmented in (False, True):
+            report = analyze_corpus_cve(spec, augmented=augmented)
+            digest.update(json.dumps(report.to_json_dict(),
+                                     sort_keys=True).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == SEED_REPORTS_DIGEST, (
+        "the seed corpus's analysis reports changed (digest %s, analyzer "
+        "version %s). The digest may change only together with "
+        "ANALYZER_VERSION: create-memo entries keyed on that version are "
+        "trusted, so a changed report under an unchanged version would "
+        "be served stale." % (digest.hexdigest(), ANALYZER_VERSION))

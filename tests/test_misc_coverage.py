@@ -80,15 +80,27 @@ def test_is_mapped():
     assert not memory.is_mapped(0x0FFF)
 
 
-def test_write_version_only_bumped_for_executable_segments():
+def test_stores_drop_only_the_cached_decodes_they_overlap():
+    """A store to a data segment keeps every cached decode; a store
+    over cached code drops the entries it overlaps and no others."""
+    from repro.arch import isa
+
+    movi = isa.encode_instruction(isa.make("movi", 0, 1))
     memory = Memory()
-    memory.map_segment("code", 0x1000, size=16, executable=True)
-    memory.map_segment("stack", 0x2000, size=16)
-    v0 = memory.write_version
-    memory.write_u32(0x2000, 1)
-    assert memory.write_version == v0
-    memory.write_u32(0x1000, 1)
-    assert memory.write_version == v0 + 1
+    memory.map_segment("code-a", 0x1000, data=movi, executable=True)
+    memory.map_segment("data", 0x2000, size=16)
+    memory.map_segment("code-b", 0x3000, data=movi, executable=True)
+    state = CPUState()
+    for ip in (0x1000, 0x3000):
+        state.ip = ip
+        step(state, memory)
+    cached = memory._decode_cache.entries
+    assert set(cached) == {0x1000, 0x3000}
+    memory.write_u32(0x2000, 7)
+    assert set(cached) == {0x1000, 0x3000}
+    memory.write_bytes(0x1000,
+                       isa.encode_instruction(isa.make("movi", 0, 99)))
+    assert set(cached) == {0x3000}
 
 
 # ---------------------------------------------------------------------------
