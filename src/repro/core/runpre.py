@@ -19,12 +19,24 @@ Function run addresses are found by candidate matching: every kallsyms
 symbol with the right name is tried, and exactly one candidate must
 match.  A ``candidate_override`` lets the Ksplice core redirect lookups
 for functions already replaced by an earlier update (§5.4 stacking).
+
+A walk's result is a pure function of the helper, the candidate lookups
+it made and the run bytes it read.  Each successful walk is recorded
+with those reads: every lookup with its answer, one span per candidate
+attempt from its run address to the furthest byte it read, and each
+``.rodata`` span.  A later match of the same helper object, on any
+machine, re-asks every lookup and compares every span; only when all
+are identical does it take the recorded result, otherwise it walks.
+So every byte a result relies on is still checked on the machine being
+updated, and fleet members booted from one build walk once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NoReturn, Optional, Tuple
+import threading
+from collections import deque
+from dataclasses import dataclass, field, replace
+from typing import Callable, Deque, Dict, List, NoReturn, Optional, Tuple
 
 from repro.arch.disassembler import DecodedInstruction
 from repro.arch.info import DEFAULT_ARCH, ArchInfo
@@ -68,6 +80,10 @@ class RunPreResult:
             raise SymbolResolutionError(
                 "run-pre matching produced no value for %r in %s"
                 % (name, self.unit)) from None
+
+    def copy(self) -> "RunPreResult":
+        return replace(self, symbol_values=dict(self.symbol_values),
+                       matched_functions=dict(self.matched_functions))
 
 
 class _PreSection:
@@ -138,6 +154,10 @@ class _SectionMatch:
         self.bytes_matched = 0
         self.nop_bytes_skipped = 0
         self.relocations_solved = 0
+        #: the attempt read run bytes [run_start, read_end), unless a
+        #: read hit unmapped memory
+        self.read_end = run_start
+        self.unmapped = False
         # pre instruction offset -> run instruction address
         self._correspondence: Dict[int, int] = {}
         self._jump_checks: List[Tuple[int, int]] = []
@@ -174,9 +194,21 @@ class _SectionMatch:
             window = self._memory.read_bytes(
                 address, self._arch.instruction_length(opcode))
             return self._arch.decode_one(window)
-        except (MachineError, DisassemblyError) as exc:
-            raise _CandidateMismatch(
-                "run code at 0x%08x undecodable: %s" % (address, exc))
+        except MachineError as exc:
+            self.unmapped = True
+            error: Exception = exc
+        except DisassemblyError as exc:
+            # the opcode byte was read, and its whole window if the
+            # opcode has a length
+            try:
+                length = self._arch.instruction_length(
+                    self._memory.read_u8(address))
+            except DisassemblyError:
+                length = 1
+            self.read_end = address + length
+            error = exc
+        raise _CandidateMismatch(
+            "run code at 0x%08x undecodable: %s" % (address, error))
 
     # -- the walk -----------------------------------------------------------
 
@@ -185,7 +217,7 @@ class _SectionMatch:
         stream = pre.stream
         decode_run = self._decode_run
         correspondence = self._correspondence
-        run_addr = self._run_start
+        run_addr = run_end = self._run_start
         bytes_matched = nop_bytes_skipped = 0
         index = 0
         try:
@@ -194,6 +226,9 @@ class _SectionMatch:
                 run_insn = decode_run(run_addr)
                 pre_spec = pre_insn.instruction.spec
                 run_spec = run_insn.instruction.spec
+                # the attempt has read up to here, whether or not this
+                # run instruction is consumed
+                run_end = run_addr + run_spec.length
 
                 if run_spec.is_nop:
                     if pre_spec.is_nop:
@@ -203,7 +238,7 @@ class _SectionMatch:
                         index += 1
                     else:  # run-only alignment padding
                         nop_bytes_skipped += run_spec.length
-                    run_addr += run_spec.length
+                    run_addr = run_end
                     continue
                 if pre_spec.is_nop:  # pre-only padding
                     nop_bytes_skipped += pre_spec.length
@@ -220,10 +255,11 @@ class _SectionMatch:
                                          run_addr)
                 bytes_matched += pre_spec.length
                 index += 1
-                run_addr += run_spec.length
+                run_addr = run_end
         finally:
             self.bytes_matched += bytes_matched
             self.nop_bytes_skipped += nop_bytes_skipped
+            self.read_end = max(self.read_end, run_end)
 
         if pre.error is not None:
             error_off, exc = pre.error
@@ -301,6 +337,108 @@ class _SectionMatch:
                            "(expected run 0x%08x)" % (expected or 0))
 
 
+#: what a recorded walk read: (candidate lookups, anchor lookups,
+#: (start, run bytes) spans)
+_Snapshot = Tuple[Tuple[Tuple[str, Tuple[int, ...]], ...],
+                  Tuple[Tuple[str, Tuple[int, ...]], ...],
+                  Tuple[Tuple[int, bytes], ...]]
+
+
+class _Reads:
+    """Everything one walk of a helper read outside the helper itself."""
+
+    def __init__(self) -> None:
+        #: function name -> candidate run addresses (override or kallsyms)
+        self.candidates: Dict[str, Tuple[int, ...]] = {}
+        #: ``.rodata`` anchor name -> kallsyms addresses
+        self.anchors: Dict[str, Tuple[int, ...]] = {}
+        #: run span start -> furthest byte read from it
+        self.spans: Dict[int, int] = {}
+        self.unmapped = False
+
+    def span(self, start: int, end: int) -> None:
+        if end > self.spans.get(start, start):
+            self.spans[start] = end
+
+    def attempt(self, start: int, attempt: _SectionMatch) -> None:
+        self.unmapped = self.unmapped or attempt.unmapped
+        self.span(start, attempt.read_end)
+
+    def snapshot(self, memory: Memory) -> Optional[_Snapshot]:
+        """The lookups and each span's bytes, or None when a read hit
+        unmapped memory or a span crosses segments."""
+        if self.unmapped:
+            return None
+        try:
+            spans = tuple((start, memory.read_bytes(start, end - start))
+                          for start, end in self.spans.items())
+        except MachineError:
+            return None
+        return (tuple(self.candidates.items()),
+                tuple(self.anchors.items()), spans)
+
+
+@dataclass(frozen=True, eq=False)
+class _WalkRecord:
+    """One successful walk: the helper (held, so its id stays unique
+    while the record lives), what the walk read, and its result."""
+
+    helper: ObjectFile
+    arch: ArchInfo
+    reads: _Snapshot
+    result: RunPreResult
+
+
+#: the replay store: id(helper) -> recorded walks of that helper object,
+#: oldest first.  Rollouts run on threads, so recording replaces a
+#: helper's tuple under :data:`_RECORDS_LOCK` and never mutates one a
+#: reader may be iterating.  Memory only: records hold live objects.
+_RECORDS: Dict[int, Tuple[_WalkRecord, ...]] = {}
+_RECORD_ORDER: Deque[_WalkRecord] = deque()
+_RECORDS_LOCK = threading.Lock()
+#: the most walks the store keeps, process-wide (oldest dropped first)
+_RECORDS_MAX = 256
+_STATS = {"replays": 0, "walks": 0}
+
+
+def _remember(record: _WalkRecord) -> None:
+    key = id(record.helper)
+    with _RECORDS_LOCK:
+        known = _RECORDS.get(key, ())
+        if any(r.arch is record.arch and r.reads == record.reads
+               for r in known):
+            return
+        _RECORDS[key] = known + (record,)
+        _RECORD_ORDER.append(record)
+        while len(_RECORD_ORDER) > _RECORDS_MAX:
+            old = _RECORD_ORDER.popleft()
+            old_key = id(old.helper)
+            rest = tuple(r for r in _RECORDS[old_key] if r is not old)
+            if rest:
+                _RECORDS[old_key] = rest
+            else:
+                del _RECORDS[old_key]
+
+
+def _count(outcome: str) -> None:
+    with _RECORDS_LOCK:
+        _STATS[outcome] += 1
+
+
+def replay_stats() -> Dict[str, int]:
+    """How many matches took a recorded result, and how many walked."""
+    with _RECORDS_LOCK:
+        return dict(_STATS, records=len(_RECORD_ORDER))
+
+
+def clear_replays() -> None:
+    """Empty the replay store and its counters (test isolation)."""
+    with _RECORDS_LOCK:
+        _RECORDS.clear()
+        _RECORD_ORDER.clear()
+        _STATS.update(replays=0, walks=0)
+
+
 @dataclass
 class RunPreMatcher:
     """Matches helper (pre) objects against the running kernel."""
@@ -315,6 +453,45 @@ class RunPreMatcher:
 
     def match_unit(self, helper: ObjectFile) -> RunPreResult:
         """Match every text section of a pre object against the run code.
+
+        A recorded walk of this helper object whose lookups and run
+        spans are all identical here gives its result; otherwise the
+        helper is walked, and a successful walk that read only mapped
+        memory is recorded.
+        """
+        for record in _RECORDS.get(id(helper), ()):
+            if record.helper is helper and record.arch is self.arch \
+                    and self._reads_agree(helper.name, record.reads):
+                _count("replays")
+                return record.result.copy()
+        _count("walks")
+        reads = _Reads()
+        result = self._walk(helper, reads)
+        snapshot = reads.snapshot(self.memory)
+        if snapshot is not None:
+            _remember(_WalkRecord(helper, self.arch, snapshot,
+                                  result.copy()))
+        return result
+
+    def _reads_agree(self, unit: str, reads: _Snapshot) -> bool:
+        candidates, anchors, spans = reads
+        for name, answer in candidates:
+            if tuple(self._candidates(unit, name)) != answer:
+                return False
+        for name, answer in anchors:
+            if self._anchor_addresses(name) != answer:
+                return False
+        read_bytes = self.memory.read_bytes
+        try:
+            for start, raw in spans:
+                if read_bytes(start, len(raw)) != raw:
+                    return False
+        except MachineError:
+            return False
+        return True
+
+    def _walk(self, helper: ObjectFile, reads: _Reads) -> RunPreResult:
+        """The walk, noting every lookup and run span in ``reads``.
 
         Matching is iterative: functions whose names are in the symbol
         table (or redirected by the stacking override) anchor the first
@@ -340,6 +517,7 @@ class RunPreMatcher:
             deferred: List[Tuple[Section, Symbol]] = []
             for section, fn_symbol in pending:
                 candidates = self._candidates(helper.name, fn_symbol.name)
+                reads.candidates[fn_symbol.name] = tuple(candidates)
                 if not candidates:
                     solved = result.symbol_values.get(fn_symbol.name)
                     if solved is None:
@@ -347,7 +525,7 @@ class RunPreMatcher:
                         continue
                     candidates = [solved]
                 run_addr, attempt = self._match_candidates(
-                    helper, section, fn_symbol, candidates)
+                    helper, section, fn_symbol, candidates, reads)
                 self._merge(result, attempt, fn_symbol, run_addr)
                 progress = True
             if not progress:
@@ -359,7 +537,7 @@ class RunPreMatcher:
                        helper.name))
             pending = deferred
 
-        self._match_rodata(helper, symbols, result)
+        self._match_rodata(helper, symbols, result, reads)
         return result
 
     # -- helpers ---------------------------------------------------------------
@@ -372,16 +550,15 @@ class RunPreMatcher:
         return [entry.address for entry in self.kallsyms.candidates(name)
                 if entry.kind is SymbolKind.FUNC]
 
+    def _anchor_addresses(self, name: str) -> Tuple[int, ...]:
+        return tuple(entry.address
+                     for entry in self.kallsyms.candidates(name))
+
     def _match_candidates(self, helper: ObjectFile, section: Section,
-                          fn_symbol,
-                          candidates: Optional[List[int]] = None
+                          fn_symbol, candidates: List[int],
+                          reads: Optional[_Reads] = None
                           ) -> Tuple[int, _SectionMatch]:
-        if candidates is None:
-            candidates = self._candidates(helper.name, fn_symbol.name)
-        if not candidates:
-            raise SymbolResolutionError(
-                "no run address candidates for function %r (unit %s)"
-                % (fn_symbol.name, helper.name))
+        reads = reads if reads is not None else _Reads()
         pre = _PreSection(section, self.arch)
         successes: List[Tuple[int, _SectionMatch]] = []
         failures: List[str] = []
@@ -392,8 +569,9 @@ class RunPreMatcher:
                 attempt.match()
             except _CandidateMismatch as exc:
                 failures.append(str(exc))
-                continue
-            successes.append((address, attempt))
+            else:
+                successes.append((address, attempt))
+            reads.attempt(address, attempt)
         if not successes:
             raise RunPreMismatchError(
                 "run-pre mismatch for %s in %s:\n  %s"
@@ -423,7 +601,7 @@ class RunPreMatcher:
 
     def _match_rodata(self, helper: ObjectFile,
                       symbols: Dict[str, List[Symbol]],
-                      result: RunPreResult) -> None:
+                      result: RunPreResult, reads: _Reads) -> None:
         """Byte-match read-only data whose address is already known."""
         for section in helper.sections.values():
             if not section.name.startswith(".rodata"):
@@ -434,10 +612,11 @@ class RunPreMatcher:
                 continue
             address = result.symbol_values.get(anchor.name)
             if address is None:
-                entries = self.kallsyms.candidates(anchor.name)
-                if len(entries) != 1:
+                addresses = self._anchor_addresses(anchor.name)
+                reads.anchors[anchor.name] = addresses
+                if len(addresses) != 1:
                     continue
-                address = entries[0].address
+                address = addresses[0]
             try:
                 run_bytes = self.memory.read_bytes(address, section.size)
             except MachineError:
@@ -450,6 +629,7 @@ class RunPreMatcher:
             if offset is not None:
                 raise RunPreMismatchError(
                     "rodata %s differs at +%d" % (section.name, offset))
+            reads.span(address, address + section.size)
             result.bytes_matched += section.size
 
 

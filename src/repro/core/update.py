@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import List
+from typing import Any, Dict, List
 
 from repro.errors import KspliceError
 from repro.objfile import ObjectFile, dump_object, load_object
@@ -81,29 +81,71 @@ class UpdatePack:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "UpdatePack":
+        """Parse a pack; any malformed document raises
+        :class:`KspliceError` (a bad KELF payload
+        :class:`~repro.errors.ObjectFormatError`)."""
         try:
             document = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise KspliceError("malformed update pack: %s" % exc) from None
-        if document.get("format") != PACK_FORMAT_VERSION:
+        if type(document) is not dict:
+            raise KspliceError("malformed update pack: not a JSON object")
+        version = document.get("format")
+        if type(version) is not int or version != PACK_FORMAT_VERSION:
             raise KspliceError("unsupported update pack format %r"
-                               % document.get("format"))
-        pack = cls(update_id=document["update_id"],
-                   kernel_version=document["kernel_version"],
-                   description=document.get("description", ""),
-                   patch_lines=document.get("patch_lines", 0))
-        for entry in document["units"]:
+                               % version)
+        pack = cls(update_id=_field(document, "update_id", str),
+                   kernel_version=_field(document, "kernel_version", str),
+                   description=_field(document, "description", str, ""),
+                   patch_lines=_field(document, "patch_lines", int, 0))
+        for entry in _field(document, "units", list):
+            if type(entry) is not dict:
+                raise KspliceError(
+                    "malformed update pack: a unit is not a JSON object")
             pack.units.append(UnitUpdate(
-                unit=entry["unit"],
-                helper=load_object(bytes.fromhex(entry["helper"])),
-                primary=load_object(bytes.fromhex(entry["primary"])),
-                changed_functions=list(entry["changed_functions"]),
-                new_functions=list(entry["new_functions"]),
-                changed_data=list(entry["changed_data"]),
-                new_data=list(entry["new_data"]),
-                hook_sections=list(entry["hook_sections"]),
+                unit=_field(entry, "unit", str),
+                helper=_object(entry, "helper"),
+                primary=_object(entry, "primary"),
+                changed_functions=_names(entry, "changed_functions"),
+                new_functions=_names(entry, "new_functions"),
+                changed_data=_names(entry, "changed_data"),
+                new_data=_names(entry, "new_data"),
+                hook_sections=_names(entry, "hook_sections"),
             ))
         return pack
+
+
+def _field(document: Dict[str, Any], name: str, kind: type,
+           *default: Any) -> Any:
+    """``document[name]``, refused unless it has JSON type ``kind``;
+    a missing field takes ``default`` when one is given."""
+    if name not in document:
+        if default:
+            return default[0]
+        raise KspliceError("malformed update pack: missing field %r" % name)
+    value = document[name]
+    if type(value) is not kind:
+        raise KspliceError("malformed update pack: field %r must be %s, "
+                           "not %s" % (name, kind.__name__,
+                                       type(value).__name__))
+    return value
+
+
+def _names(entry: Dict[str, Any], name: str) -> List[str]:
+    values = _field(entry, name, list)
+    if not all(type(value) is str for value in values):
+        raise KspliceError("malformed update pack: field %r must list "
+                           "strings" % name)
+    return list(values)
+
+
+def _object(entry: Dict[str, Any], name: str) -> ObjectFile:
+    try:
+        payload = bytes.fromhex(_field(entry, name, str))
+    except ValueError:
+        raise KspliceError("malformed update pack: field %r is not hex"
+                           % name) from None
+    return load_object(payload)
 
 
 def update_id_for(patch_text: str, kernel_version: str) -> str:

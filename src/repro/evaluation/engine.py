@@ -57,6 +57,7 @@ from repro.compiler.cache import (
     snapshot_stats as _stats_snapshot,
     stats_delta as _stats_delta,
 )
+from repro.core.runpre import clear_replays
 from repro.evaluation.corpus import CORPUS
 from repro.evaluation.kernels import GeneratedKernel, kernel_for_version
 from repro.evaluation.specs import CveSpec
@@ -88,12 +89,13 @@ def run_build_for(kernel: GeneratedKernel,
 def clear_caches() -> None:
     """Reset every evaluation cache (test isolation).
 
-    Covers the parse, compile, and run-build content caches plus the
-    generated-kernel memo, so a test that patches corpus data or
-    compiler behaviour observes a cold world.
+    Covers the parse, compile, and run-build content caches, the
+    generated-kernel memo and the run-pre replay store, so a test that
+    patches corpus data or compiler behaviour observes a cold world.
     """
     _clear_layer_caches()
     kernel_for_version.cache_clear()
+    clear_replays()
 
 
 def cache_stats() -> Dict[str, CacheStats]:

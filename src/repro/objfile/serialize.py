@@ -39,7 +39,17 @@ def _write_str(stream: BinaryIO, text: str) -> None:
 
 def _read_str(stream: BinaryIO) -> str:
     (length,) = struct.unpack("<H", _read_exact(stream, 2))
-    return _read_exact(stream, length).decode("utf-8")
+    try:
+        return _read_exact(stream, length).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ObjectFormatError("KELF string is not UTF-8") from None
+
+
+def _pick(table: list, index: int, what: str):
+    """``table[index]``, or ObjectFormatError for an unknown code."""
+    if index >= len(table):
+        raise ObjectFormatError("unknown KELF %s code %d" % (what, index))
+    return table[index]
 
 
 def _read_exact(stream: BinaryIO, count: int) -> bytes:
@@ -96,8 +106,9 @@ def load_object(data: bytes) -> ObjectFile:
         kind_idx, alignment = struct.unpack("<BH", _read_exact(stream, 3))
         (size,) = struct.unpack("<I", _read_exact(stream, 4))
         payload = _read_exact(stream, size)
-        section = Section(name=name, kind=_SECTION_KINDS[kind_idx],
-                          data=payload, alignment=alignment)
+        kind = _pick(_SECTION_KINDS, kind_idx, "section kind")
+        section = Section(name=name, kind=kind, data=payload,
+                          alignment=alignment)
         (nrelocs,) = struct.unpack("<I", _read_exact(stream, 4))
         for _ in range(nrelocs):
             offset, type_idx = struct.unpack("<IB", _read_exact(stream, 5))
@@ -105,7 +116,8 @@ def load_object(data: bytes) -> ObjectFile:
             symbol = _read_str(stream)
             section.relocations.append(Relocation(
                 offset=offset, symbol=symbol,
-                type=_RELOC_TYPES[type_idx], addend=addend))
+                type=_pick(_RELOC_TYPES, type_idx, "relocation type"),
+                addend=addend))
         obj.add_section(section)
     (nsymbols,) = struct.unpack("<I", _read_exact(stream, 4))
     for _ in range(nsymbols):
@@ -114,7 +126,10 @@ def load_object(data: bytes) -> ObjectFile:
         (has_section,) = struct.unpack("<B", _read_exact(stream, 1))
         section_name = _read_str(stream) if has_section else None
         value, size = struct.unpack("<II", _read_exact(stream, 8))
-        obj.add_symbol(Symbol(name=name, binding=_BINDINGS[binding_idx],
-                              kind=_SYMBOL_KINDS[kind_idx],
+        obj.add_symbol(Symbol(name=name,
+                              binding=_pick(_BINDINGS, binding_idx,
+                                            "symbol binding"),
+                              kind=_pick(_SYMBOL_KINDS, kind_idx,
+                                         "symbol kind"),
                               section=section_name, value=value, size=size))
     return obj

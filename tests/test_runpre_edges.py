@@ -203,3 +203,41 @@ def test_value_of_unknown_symbol_raises():
     result = RunPreResult(unit="x")
     with pytest.raises(SymbolResolutionError):
         result.value_of("nope")
+
+
+def test_replay_rechecks_the_rodata_anchor_and_bytes():
+    """A recorded match replays only on a member whose .rodata anchor
+    lookup and rodata bytes are identical: a changed byte, or an anchor
+    that kallsyms places at other bytes, takes the full walk and aborts
+    as it would have."""
+    from repro.core.runpre import clear_replays, replay_stats
+    from repro.linker.kallsyms import KallsymsEntry
+
+    blob = b"\x01\x02\x03\x04\x05\x06\x07\x08"
+    changed = b"\x01\x02\x03\x04\xFF\x06\x07\x08"
+
+    def member(at_first, at_second=None):
+        machine = boot_kernel(TREE)
+        first = machine.kmalloc(len(blob))
+        machine.memory.write_bytes(first, at_first)
+        anchor = first
+        if at_second is not None:
+            anchor = machine.kmalloc(len(blob))
+            machine.memory.write_bytes(anchor, at_second)
+        machine.image.kallsyms.add(KallsymsEntry(
+            name="ro_anchor", address=anchor, size=len(blob),
+            kind=SymbolKind.OBJECT, binding=SymbolBinding.LOCAL,
+            unit="arch/tbl.s"))
+        return RunPreMatcher(memory=machine.memory,
+                             kallsyms=machine.image.kallsyms)
+
+    pre = _pre_with_rodata(None, blob)
+    clear_replays()
+    recorded = member(blob).match_unit(pre)
+    assert member(blob).match_unit(pre) == recorded
+    assert replay_stats()["replays"] == 1
+    for run in (member(changed), member(blob, at_second=changed)):
+        with pytest.raises(RunPreMismatchError,
+                           match="rodata .rodata.ro_anchor differs at"):
+            run.match_unit(pre)
+    assert replay_stats() == {"replays": 1, "walks": 3, "records": 1}

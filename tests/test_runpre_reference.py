@@ -9,9 +9,17 @@ decode and Memory reads per instruction), and requires identical
 ``RunPreResult`` fields, or the identical exception type and message,
 on every helper unit of the 64 corpus CVEs, on a generated corpus, and
 on run code with single bytes flipped inside matched functions.
+
+The same cases run a second time through the replay store: a sibling
+machine booted from the same build walks first, and the machine under
+test must then get the reference outcome, replaying exactly when no
+recorded lookup or span differs.  Stacked members, concurrent matches
+and 3-member corpus rollouts are checked the same way.
 """
 
 import random
+import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -20,10 +28,14 @@ import pytest
 from repro.arch.disassembler import DecodedInstruction
 from repro.arch.info import DEFAULT_ARCH, K86, ArchInfo
 from repro.arch.isa import FIELD_SIZES, OperandKind, decode_instruction
+from repro.compiler import CompilerOptions
+from repro.core import KspliceCore, ksplice_create, runpre
 from repro.core.runpre import (
     RunPreMatcher,
     RunPreResult,
     _CandidateMismatch,
+    clear_replays,
+    replay_stats,
 )
 from repro.errors import (
     DisassemblyError,
@@ -36,6 +48,8 @@ from repro.evaluation.analyze import create_corpus_cve
 from repro.evaluation.corpus import CORPUS, corpus_by_id
 from repro.evaluation.engine import run_build_for
 from repro.evaluation.kernels import kernel_for_version
+from repro.fleet.orchestrator import RolloutPlan, rollout_corpus_cve
+from repro.kbuild import SourceTree, build_units
 from repro.kernel import boot_kernel
 from repro.kernel.memory import Memory
 from repro.linker.kallsyms import KallsymsTable
@@ -46,6 +60,7 @@ from repro.objfile import (
     Section,
     SymbolKind,
 )
+from repro.patch import make_patch
 from repro.scenarios import GeneratedCorpus
 
 _FIELD_SIZES = FIELD_SIZES  # the table the reference walk used
@@ -389,11 +404,8 @@ REFERENCE_ARCH = replace(K86, decode=_reference_disassemble_one)
 # Harness
 
 
-@pytest.fixture(scope="module")
-def machine_for():
-    """One freshly booted kernel per version, released with the module;
-    matching only reads it (the byte-flip test restores what it
-    flips)."""
+def _booter():
+    """A kernel-per-version memo: the lookup and the dict it fills."""
     machines: Dict[str, object] = {}
 
     def machine(version):
@@ -403,6 +415,24 @@ def machine_for():
                                             build=run_build_for(kernel))
         return machines[version]
 
+    return machine, machines
+
+
+@pytest.fixture(scope="module")
+def machine_for():
+    """One freshly booted kernel per version, released with the module;
+    matching only reads it (the byte-flip test restores what it
+    flips)."""
+    machine, machines = _booter()
+    yield machine
+    machines.clear()
+
+
+@pytest.fixture(scope="module")
+def sibling_for():
+    """A second kernel per version, booted from the same build: the
+    fleet member that matched first."""
+    machine, machines = _booter()
     yield machine
     machines.clear()
 
@@ -417,33 +447,68 @@ def _outcome(matcher, helper):
             result.nop_bytes_skipped, result.relocations_solved)
 
 
+def _fast(machine, override=None):
+    return RunPreMatcher(memory=machine.memory,
+                         kallsyms=machine.image.kallsyms,
+                         candidate_override=override)
+
+
+def _reference(machine, override=None):
+    return ReferenceMatcher(memory=machine.memory,
+                            kallsyms=machine.image.kallsyms,
+                            candidate_override=override,
+                            arch=REFERENCE_ARCH)
+
+
 def _both(machine, helper):
-    fast = RunPreMatcher(memory=machine.memory,
-                         kallsyms=machine.image.kallsyms)
-    reference = ReferenceMatcher(memory=machine.memory,
-                                 kallsyms=machine.image.kallsyms,
-                                 arch=REFERENCE_ARCH)
-    return _outcome(fast, helper), _outcome(reference, helper)
+    """A fresh walk's outcome (the store is emptied first) and the
+    reference's."""
+    clear_replays()
+    return (_outcome(_fast(machine), helper),
+            _outcome(_reference(machine), helper))
 
 
-def _assert_units_agree(spec, machine_for):
+def _replayed(machine, sibling, helper):
+    """The outcome on ``machine`` once ``sibling`` has matched
+    ``helper`` first, and how many replays that match took."""
+    clear_replays()
+    _outcome(_fast(sibling), helper)
+    before = replay_stats()["replays"]
+    outcome = _outcome(_fast(machine), helper)
+    return outcome, replay_stats()["replays"] - before
+
+
+def _recorded_spans(helper):
+    """The run spans of the one walk recorded for ``helper``."""
+    (record,) = runpre._RECORDS[id(helper)]
+    return record.reads[2]
+
+
+def _assert_units_agree(spec, machine_for, sibling_for):
     machine = machine_for(spec.kernel_version)
+    sibling = sibling_for(spec.kernel_version)
     pack = create_corpus_cve(spec).pack
     for uu in pack.units:
         fast, reference = _both(machine, uu.helper)
         assert fast == reference, (spec.cve_id, uu.unit)
         assert fast[0] == "ok", (spec.cve_id, uu.unit, fast)
+        assert _replayed(machine, sibling, uu.helper) == (reference, 1), \
+            (spec.cve_id, uu.unit)
     return len(pack.units)
 
 
 @pytest.mark.parametrize("cve_id", [spec.cve_id for spec in CORPUS])
-def test_corpus_helpers_match_like_the_reference(cve_id, machine_for):
-    assert _assert_units_agree(corpus_by_id(cve_id), machine_for) >= 1
+def test_corpus_helpers_match_like_the_reference(cve_id, machine_for,
+                                                 sibling_for):
+    assert _assert_units_agree(corpus_by_id(cve_id), machine_for,
+                               sibling_for) >= 1
 
 
-def test_generated_helpers_match_like_the_reference(machine_for):
+def test_generated_helpers_match_like_the_reference(machine_for,
+                                                    sibling_for):
     corpus = GeneratedCorpus.generate(11, 32)
-    units = sum(_assert_units_agree(scenario.spec, machine_for)
+    units = sum(_assert_units_agree(scenario.spec, machine_for,
+                                    sibling_for)
                 for scenario in corpus.scenarios)
     assert units >= len(corpus.scenarios)
 
@@ -493,9 +558,14 @@ FLIP_CVES = [spec.cve_id for spec in CORPUS][::8]
 
 
 @pytest.mark.parametrize("cve_id", FLIP_CVES)
-def test_flipped_run_bytes_fail_like_the_reference(cve_id, machine_for):
+def test_flipped_run_bytes_fail_like_the_reference(cve_id, machine_for,
+                                                   sibling_for):
+    """Each flip is matched by a fresh walk, and again after an
+    unflipped sibling's walk was recorded: that replays exactly when
+    the flip lies outside every recorded span."""
     spec = corpus_by_id(cve_id)
     machine = machine_for(spec.kernel_version)
+    sibling = sibling_for(spec.kernel_version)
     rng = random.Random(cve_id)
     flipped = {c: 0 for c in _CATEGORIES}
     errors = 0
@@ -503,6 +573,8 @@ def test_flipped_run_bytes_fail_like_the_reference(cve_id, machine_for):
         baseline = _both(machine, uu.helper)[1]
         assert baseline[0] == "ok"
         sites = _flip_sites(machine, uu.helper, baseline[3])
+        _outcome(_fast(sibling), uu.helper)
+        spans = _recorded_spans(uu.helper)
         for category in _CATEGORIES:
             for address in rng.sample(sites[category],
                                       min(3, len(sites[category]))):
@@ -514,11 +586,15 @@ def test_flipped_run_bytes_fail_like_the_reference(cve_id, machine_for):
                 machine.memory.notify_exec_write(address, 1)
                 try:
                     fast, reference = _both(machine, uu.helper)
+                    replayed = _replayed(machine, sibling, uu.helper)
                 finally:
                     segment.data[offset] = original
                     machine.memory.notify_exec_write(address, 1)
-                assert fast == reference, (cve_id, uu.unit, category,
-                                           hex(address))
+                where = (cve_id, uu.unit, category, hex(address))
+                assert fast == reference, where
+                outside = not any(start <= address < start + len(raw)
+                                  for start, raw in spans)
+                assert replayed == (reference, int(outside)), where
                 flipped[category] += 1
                 errors += fast[0] != "ok"
     assert flipped["opcode"] and flipped["register"] and \
@@ -537,3 +613,255 @@ def test_flips_cover_short_jumps(machine_for):
             matched = _both(machine, uu.helper)[1][3]
             total += len(_flip_sites(machine, uu.helper, matched)["rel8"])
     assert total > 0
+
+
+# -- the replay store --------------------------------------------------------
+
+
+def _flip(machine, address):
+    """Flip one run byte; returns the undo."""
+    segment = machine.memory.segment_for(address)
+    offset = address - segment.base
+    original = segment.data[offset]
+    segment.data[offset] = original ^ 0x10
+    machine.memory.notify_exec_write(address, 1)
+
+    def restore():
+        segment.data[offset] = original
+        machine.memory.notify_exec_write(address, 1)
+    return restore
+
+
+def test_replay_rechecks_every_span_and_nothing_else(machine_for,
+                                                     sibling_for):
+    """A flip inside a recorded span walks; a flip in a data word or in
+    a function the helper does not contain still replays."""
+    spec = corpus_by_id("CVE-2006-2451")
+    machine = machine_for(spec.kernel_version)
+    sibling = sibling_for(spec.kernel_version)
+    helper = create_corpus_cve(spec).pack.units[0].helper
+    reference = _both(machine, helper)[1]
+    _outcome(_fast(sibling), helper)
+    spans = _recorded_spans(helper)
+
+    def outside(entry):
+        return not any(start < entry.address + max(entry.size, 1) and
+                       entry.address < start + len(raw)
+                       for start, raw in spans)
+
+    helper_names = {symbol.name for symbol in helper.symbols}
+    entries = machine.image.kallsyms.entries
+    data_word = next(e for e in entries if e.kind is SymbolKind.OBJECT
+                     and e.size >= 4 and outside(e))
+    other_function = next(e for e in entries if e.kind is SymbolKind.FUNC
+                          and e.name not in helper_names and outside(e))
+    inside = spans[0][0] + len(spans[0][1]) // 2
+    for address, replays in ((data_word.address, 1),
+                             (other_function.address, 1), (inside, 0)):
+        restore = _flip(machine, address)
+        try:
+            replayed = _replayed(machine, sibling, helper)
+            walked = _both(machine, helper)
+        finally:
+            restore()
+        assert replayed == (walked[1], replays), hex(address)
+        assert walked[0] == walked[1]
+    assert _replayed(machine, sibling, helper) == (reference, 1)
+
+
+@pytest.mark.parametrize("cve_id", ["CVE-2005-1263", "CVE-2006-2451"])
+def test_a_lookup_answered_differently_walks(cve_id, machine_for,
+                                             sibling_for):
+    """The run bytes are identical, the lookups are not: a member whose
+    kallsyms lacks local symbols, or whose stacking override sends the
+    first function to another one, walks and gets its own reference
+    outcome."""
+    spec = corpus_by_id(cve_id)
+    machine = machine_for(spec.kernel_version)
+    sibling = sibling_for(spec.kernel_version)
+    helper = create_corpus_cve(spec).pack.units[0].helper
+    matched = _both(machine, helper)[1][3]
+    first, other = list(matched)[0], list(matched)[-1]
+    stripped = machine.image.kallsyms.stripped_of_locals()
+
+    def redirect(unit, name):
+        return [matched[other]] if name == first else None
+
+    for kallsyms, override in ((stripped, None),
+                               (machine.image.kallsyms, redirect)):
+        reference = _outcome(ReferenceMatcher(
+            memory=machine.memory, kallsyms=kallsyms,
+            candidate_override=override, arch=REFERENCE_ARCH), helper)
+        clear_replays()
+        _outcome(_fast(sibling), helper)
+        outcome = _outcome(RunPreMatcher(
+            memory=machine.memory, kallsyms=kallsyms,
+            candidate_override=override), helper)
+        assert (outcome, replay_stats()["replays"]) == (reference, 0)
+
+
+_NOTESIZE = """
+static int notesize(int x) {
+    int pad = x %% %d;
+    if (pad) { return x + %d - pad; }
+    return x;
+}
+int %s_entry(int x) { return notesize(x) + 1; }
+"""
+
+
+def test_a_failed_candidate_is_rechecked_too():
+    """``notesize`` has two kallsyms candidates and only fs/a.c's
+    matches the helper.  On a member where fs/b.c's copy became
+    identical to fs/a.c's, both match, so the walk must refuse to
+    guess; a replay that skipped the failed candidate's span would
+    answer fs/a.c's address instead."""
+    tree = SourceTree(version="replay-ambiguous", files={
+        "fs/a.c": _NOTESIZE % (4, 4, "a"),
+        "fs/b.c": _NOTESIZE % (8, 8, "b")})
+    options = CompilerOptions(opt_level=0)
+    recorder = boot_kernel(tree, options=options)
+    member = boot_kernel(tree, options=options)
+    helper = build_units(tree, ["fs/a.c"], options.pre_post_flavor()
+                         ).object_for("fs/a.c")
+    entries = {e.unit: e for e in
+               member.image.kallsyms.candidates("notesize")}
+    a, b = entries["fs/a.c"], entries["fs/b.c"]
+    assert a.size == b.size
+    clear_replays()
+    assert _outcome(_fast(recorder), helper)[0] == "ok"
+    segment = member.memory.segment_for(b.address)
+    offset = b.address - segment.base
+    segment.data[offset:offset + b.size] = \
+        member.memory.read_bytes(a.address, a.size)
+    member.memory.notify_exec_write(b.address, b.size)
+    reference = _outcome(_reference(member), helper)
+    assert reference[0] == "SymbolResolutionError"
+    assert _outcome(_fast(member), helper) == reference
+    assert replay_stats()["replays"] == 0
+
+
+_COUNT_C = """
+int counter;
+
+int bump(int x) {
+    counter = counter + x;
+    return counter;
+}
+
+int peek(int x) {
+    return counter + x;
+}
+"""
+_COUNT_V2 = _COUNT_C.replace("    return counter;\n",
+                             "    return counter + 1;\n")
+_COUNT_V3 = _COUNT_V2.replace("return counter + x;",
+                              "return counter + x + 2;")
+
+
+def _count_update(old, new, version):
+    diff = make_patch({"kernel/count.c": old}, {"kernel/count.c": new})
+    return ksplice_create(
+        SourceTree(version=version, files={"kernel/count.c": old}), diff)
+
+
+@pytest.mark.parametrize("first", ["stacked", "plain"])
+def test_stacked_member_walks_whoever_matched_first(first):
+    """Member A runs an update of ``kernel/count.c``, member B does
+    not.  A later helper of that unit (and the first update's own
+    helper again) matched on A walks in full and equals the reference,
+    whether A or B matched it first: A's stacking override answers the
+    replaced function's lookup differently."""
+    tree = SourceTree(version="replay-stack",
+                      files={"kernel/count.c": _COUNT_C})
+    one = _count_update(_COUNT_C, _COUNT_V2, tree.version)
+    two = _count_update(_COUNT_V2, _COUNT_V3, tree.version + "+")
+    stacked, plain = boot_kernel(tree), boot_kernel(tree)
+    core = KspliceCore(stacked)
+    core.apply(one)
+    override = core._candidate_override
+    kinds = {"ok": 0, "RunPreMismatchError": 0}
+    for helper in (two.units[0].helper, one.units[0].helper):
+        reference = _outcome(_reference(stacked, override), helper)
+        clear_replays()
+        if first == "plain":
+            _outcome(_fast(plain), helper)
+        walks = replay_stats()["walks"]
+        assert _outcome(_fast(stacked, override), helper) == reference
+        assert replay_stats()["walks"] == walks + 1
+        if first == "stacked":
+            _outcome(_fast(plain), helper)
+            assert replay_stats()["walks"] == walks + 2
+        kinds[reference[0]] += 1
+    # the later helper matches only the stacked member, the first
+    # update's helper only the plain one
+    assert kinds == {"ok": 1, "RunPreMismatchError": 1}
+
+
+def test_concurrent_matches_get_the_reference_result(machine_for,
+                                                     sibling_for):
+    """Four threads, two per machine, match one helper at once, over
+    and over with a short switch interval: each gets the reference
+    outcome, the counters lose no match, and the store keeps one
+    record."""
+    spec = corpus_by_id("CVE-2006-2451")
+    machines = (machine_for(spec.kernel_version),
+                sibling_for(spec.kernel_version)) * 2
+    helper = create_corpus_cve(spec).pack.units[0].helper
+    reference = _both(machines[0], helper)[1]
+    outcomes: List[tuple] = []
+    rounds = 10
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            clear_replays()
+            barrier = threading.Barrier(len(machines))
+
+            def match(machine):
+                barrier.wait(timeout=60)
+                outcomes.append(_outcome(_fast(machine), helper))
+            threads = [threading.Thread(target=match, args=(m,))
+                       for m in machines]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            stats = replay_stats()
+            assert stats["replays"] + stats["walks"] == len(machines)
+            assert stats["walks"] >= 1 and stats["records"] == 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [reference] * (rounds * len(machines))
+
+
+def test_corpus_rollouts_replay_like_a_reference_walk(monkeypatch):
+    """Every corpus CVE rolled out to 3 members: the first member of
+    each rollout walks, the other two replay, and every replayed result
+    equals a reference walk on the member that replayed it."""
+    match_unit = RunPreMatcher.match_unit
+    differences: List[str] = []
+
+    def checked(matcher, helper):
+        replays = replay_stats()["replays"]
+        result = match_unit(matcher, helper)
+        if replay_stats()["replays"] > replays:
+            reference = ReferenceMatcher(
+                memory=matcher.memory, kallsyms=matcher.kallsyms,
+                candidate_override=matcher.candidate_override,
+                arch=REFERENCE_ARCH).match_unit(helper)
+            if result != reference:
+                differences.append(helper.name)
+        return result
+
+    monkeypatch.setattr(RunPreMatcher, "match_unit", checked)
+    clear_replays()
+    outcomes = {rollout_corpus_cve(RolloutPlan(spec.cve_id,
+                                               fleet_size=3)).outcome
+                for spec in CORPUS}
+    stats = replay_stats()
+    assert outcomes == {"complete"}
+    assert differences == []
+    assert stats["walks"] >= len(CORPUS)
+    assert stats["replays"] == 2 * stats["walks"]
