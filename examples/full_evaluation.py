@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from repro.evaluation import CORPUS, evaluate_corpus
+from repro.evaluation import evaluate_corpus
 from repro.evaluation.engine import EngineStats
 
 

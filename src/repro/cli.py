@@ -75,7 +75,6 @@ from typing import Dict, Optional
 from repro import __version__
 from repro.compiler import CompilerOptions
 from repro.core import KspliceCore, UpdatePack, ksplice_create
-from repro.core.create import CreateReport
 from repro.errors import ReproError
 from repro.kbuild import SourceTree
 from repro.kernel import boot_kernel
@@ -216,9 +215,15 @@ def cmd_objdump(args: argparse.Namespace) -> int:
 
     with open(args.pack, "rb") as handle:
         pack = UpdatePack.from_bytes(handle.read())
-    for uu in pack.units:
-        if args.unit and uu.unit != args.unit:
-            continue
+    units = [uu for uu in pack.units
+             if not args.unit or uu.unit == args.unit]
+    if args.unit and not units:
+        print("error: pack %s has no unit %r (its units: %s)"
+              % (pack.update_id, args.unit,
+                 ", ".join(uu.unit for uu in pack.units) or "none"),
+              file=sys.stderr)
+        return EXIT_USAGE
+    for uu in units:
         objfile = uu.helper if args.helper else uu.primary
         print(dump_object_text(objfile))
         print()
@@ -1138,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "failure instead of hanging the session")
     p_worker.add_argument("--max-frame-mb", type=float, default=64.0,
                           metavar="MIB",
-                          help="largest v3 frame the session accepts; "
+                          help="largest frame the session accepts; "
                                "an oversize frame is a protocol error "
                                "and drops the peer (default: 64)")
     p_worker.set_defaults(func=cmd_worker)

@@ -347,18 +347,13 @@ def disable_disk_cache() -> None:
         cache.attach_disk(None)
 
 
-def active_disk_root() -> Optional[str]:
-    """The enabled disk-cache root, or None — forwarded to evaluation
-    workers so child processes share the same tier."""
-    return _DISK_ROOT
-
-
 def disk_cache_config() -> Optional[Tuple[str, int]]:
     """``(root, max_entries)`` of the enabled disk tier, or None.
 
-    This is the warm-start handshake payload: a coordinator sends it to
-    remote workers so they attach the same shared tier (same root, same
-    bound) before evaluating anything.
+    This is the warm-start payload: the local pool ships it to each
+    evaluation process and a coordinator sends it to remote workers, so
+    they attach the same shared tier (same root, same bound) before
+    evaluating anything.
     """
     if _DISK_ROOT is None:
         return None

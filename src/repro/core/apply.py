@@ -150,6 +150,10 @@ class KspliceCore:
         enclosing operation's trace to nest them); without one, the
         reports land on ``applied.trace``.
         """
+        if not pack.units:
+            raise KspliceError("update %s has no units: it replaces "
+                               "nothing, so it is not applied"
+                               % pack.update_id)
         if pack.update_id in {a.update_id for a in self.applied}:
             raise UpdateStateError(
                 "update %s is already applied" % pack.update_id)

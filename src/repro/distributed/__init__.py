@@ -5,9 +5,9 @@ fans kernel-version groups over a ``ProcessPoolExecutor``; this package
 extends the same design over TCP so throughput scales with *workers*,
 not with one machine's cores:
 
-* :mod:`~repro.distributed.wire` — protocol v3's compact binary
-  codec: struct-packed, length-prefixed, versioned frames over a
-  closed class registry (``pickle`` is gone from the data plane);
+* :mod:`~repro.distributed.wire` — protocol v4's frame codec: a
+  version byte plus the kpack of each message, over a closed class
+  registry (``pickle`` is gone from the data plane);
 * :mod:`~repro.distributed.crypto` — the mutual handshake (HMAC
   challenge/response over a shared secret), per-session key
   derivation, and the frame cipher that encrypts every

@@ -55,7 +55,7 @@ async def _recv_raw(reader: asyncio.StreamReader) -> bytes:
 
 
 class AsyncChannel:
-    """One established v3 session on the event loop."""
+    """One established session on the event loop."""
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,

@@ -1,6 +1,6 @@
-"""Protocol v3 session layer: encrypted, length-prefixed binary frames.
+"""The fabric session layer: encrypted, length-prefixed binary frames.
 
-This module owns the v3 **record format**.  Both transports call the
+This module owns the **record format**.  Both transports call the
 same plain functions here to encode, seal, bound and open records: the
 asyncio :class:`~.aio.AsyncChannel` (coordinator and worker) and the
 blocking :class:`MessageStream` below, whose one caller is
@@ -10,8 +10,8 @@ to an async peer freely.
 
 Wire stack, bottom up:
 
-1. **Handshake** (cleartext, tightly bounded raw frames): the worker
-   banners ``KSP3`` + mode; both sides run the
+1. **Handshake** (cleartext, tightly bounded raw frames, unchanged
+   since v3): the worker banners ``KSP3`` + mode; both sides run the
    :mod:`~repro.distributed.crypto` state machine — mutual HMAC proof
    of the shared secret, then secret-derived keys.  Every session
    needs the secret: an endpoint without one raises :class:`AuthError`
@@ -29,9 +29,11 @@ Wire stack, bottom up:
    oversized record or smuggling an oversized frame inside one raises
    :class:`ProtocolError` and is dropped before the payload is
    interpreted.
-3. **Frames**: the compact binary encoding in
-   :mod:`~repro.distributed.wire` — struct-packed headers, kpack
-   bodies, a closed class registry.  ``pickle`` is gone from the data
+3. **Frames** (protocol v4): one version byte plus the kpack of the
+   message (:mod:`~repro.distributed.wire`), over a closed class
+   registry; the batch prefix above is a frame's only length.  A v3
+   peer passes the handshake and is dropped at its first frame with
+   an "upgrade both ends" error.  ``pickle`` is gone from the data
    plane: no network byte ever reaches ``pickle.loads``.
 """
 
@@ -54,10 +56,8 @@ from repro.distributed.crypto import (
 from repro.distributed.wire import WireError
 from repro.errors import ReproError
 
-#: bump when the message vocabulary changes incompatibly
-#: (3: binary kpack frames, encrypted sessions; 2: authenticated
-#: handshake before pickled frames)
-PROTOCOL_VERSION = 3
+#: the version a ``hello`` carries, which is the frame layout's version
+PROTOCOL_VERSION = wire.WIRE_VERSION
 
 #: default per-record byte bound (64 MiB); every frame on a session is
 #: checked against the session's limit, not just handshake frames
@@ -92,7 +92,7 @@ class ProtocolError(ReproError):
 
 
 class AuthError(ProtocolError):
-    """The peer failed (or refused) the v3 handshake."""
+    """The peer failed (or refused) the handshake."""
 
 
 #: environment variable holding the fabric's shared secret
@@ -294,7 +294,7 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
 
 
 class MessageStream:
-    """One side of an established v3 session over a blocking socket.
+    """One side of an established session over a blocking socket.
 
     Created by :func:`connect_stream` / :func:`accept_stream`, which
     run the handshake and hand over its session ciphers.
@@ -352,7 +352,7 @@ class MessageStream:
 
 def accept_stream(sock: socket.socket, secret: Optional[bytes],
                   max_frame: int = MAX_FRAME) -> MessageStream:
-    """Worker side: run the v3 handshake, return the session channel.
+    """Worker side: run the handshake, return the session channel.
 
     Raises :class:`AuthError` (caller drops the connection) before any
     data frame has been touched.
@@ -369,7 +369,7 @@ def accept_stream(sock: socket.socket, secret: Optional[bytes],
 
 def connect_stream(sock: socket.socket, secret: Optional[bytes],
                    max_frame: int = MAX_FRAME) -> MessageStream:
-    """Client side: run the v3 handshake, return the session channel.
+    """Client side: run the handshake, return the session channel.
 
     Raises :class:`AuthError` before a byte moves when ``secret`` is
     missing, and when our secret is rejected (connection closed mid-
@@ -392,7 +392,7 @@ def connect_stream(sock: socket.socket, secret: Optional[bytes],
 
 
 def encodable(value: Any) -> Tuple[bool, str]:
-    """Can ``value`` cross the v3 wire?  ``(ok, reason)``."""
+    """Can ``value`` cross the wire?  ``(ok, reason)``."""
     try:
         wire.kpack(value)
         return True, ""

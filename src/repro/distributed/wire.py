@@ -1,4 +1,4 @@
-"""Protocol v3: the compact binary wire encoding ("kpack").
+"""Protocol v4: the compact binary wire encoding ("kpack").
 
 Protocol v2 shipped every frame as a pickle, which has two costs the
 fabric can no longer afford:
@@ -10,40 +10,39 @@ fabric can no longer afford:
   machinery per frame; heartbeats were ~60 bytes of pickle for one
   integer.
 
-v3 replaces pickle on the data plane with a purpose-built codec:
+Since v3 a purpose-built codec replaces pickle on the data plane.
 
 Frame layout
 ------------
 
-Every frame is one 8-byte struct-packed header followed by a body::
+A frame is one version byte followed by the kpack of its message dict,
+``type`` key included::
 
-    !BBHI  =  version (3) | type code | flags | body length
+    frame  =  u8 WIRE_VERSION (4)  ||  kpack(message)
 
-The type code selects a body layout.  Hot frame types get dedicated
-struct-packed bodies (a ``pong`` body is 8 bytes, down from ~60):
-
-==============  ==========================================================
-type            body
-==============  ==========================================================
-``ping/pong``   ``!Q`` heartbeat sequence number
-``result``      varstr item_id + ``!I`` offset + kpack value
-``item-done``   varstr item_id + kpack cache-delta/report dict
-(all others)    kpack of the message dict minus its ``type`` key
-==============  ==========================================================
+There is no frame header beyond that byte: the session layer already
+puts a ``!I`` length before every frame inside a sealed record
+(:func:`~repro.distributed.protocol.pack_batch`).  :func:`decode_frame`
+checks the version byte (any other version, v3's 8-byte-header frames
+included, is refused with an explicit "upgrade both ends" error), then
+that the rest is exactly one kpack dict with str keys whose ``type``
+is one of the nine :data:`FRAME_TYPES`.  A ``ping`` is 22 bytes.
 
 kpack values
 ------------
 
 A tagged, length-prefixed binary tree over exactly the types the fabric
-ships: ``None``/bool/int/float/str/bytes/list/tuple/dict/set/frozenset
-plus a **closed registry** of repro classes (specs in, results + traces
-+ analysis reports + cache deltas out).  Registered instances encode as
+ships: ``None``/bool/int/float/str/bytes/list/tuple/dict plus a
+**closed registry** of repro classes (specs in, results + traces +
+analysis reports + cache deltas out).  Registered instances encode as
 ``registry id + state dict`` and decode through ``object.__new__`` on
 the registered class — the wire can only ever name classes in
 :data:`REGISTRY`, so untrusted bytes choose *data shapes*, never code.
 Integers are zigzag LEB128 varints (a heartbeat seq is 1-2 bytes), and
 collection counts are validated against the remaining buffer before
-anything is allocated, so a corrupt count cannot balloon memory.
+anything is allocated, so a corrupt count cannot balloon memory.  Sets
+are not wire values: encoding one is a :class:`WireError`, and tags
+``0x0A``/``0x0B`` (v3's set and frozenset) are unknown tags.
 
 Every malformed input — truncated buffer, unknown tag, bad UTF-8, an
 unregistered class id, trailing garbage, absurd counts — decodes to
@@ -55,25 +54,21 @@ as a protocol violation and drops the peer.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 
-#: bump when the frame vocabulary or kpack tags change incompatibly
-#: (3: binary kpack frames + encrypted sessions; 2: pickled frames
-#: behind an HMAC handshake; 1: bare pickled frames)
-WIRE_VERSION = 3
+#: bump when the frame layout, vocabulary or kpack tags change
+#: incompatibly (4: version byte + kpack message; 3: 8-byte header and
+#: per-type bodies, encrypted sessions; 2: pickled frames behind an
+#: HMAC handshake; 1: bare pickled frames)
+WIRE_VERSION = 4
 
-#: frame header: version, type code, flags, body length
-FRAME_HEADER = struct.Struct("!BBHI")
-
-_U64 = struct.Struct("!Q")
-_U32 = struct.Struct("!I")
 _F64 = struct.Struct("!d")
 
 
 class WireError(ReproError):
-    """Malformed or unencodable v3 wire data."""
+    """Malformed or unencodable wire data."""
 
 
 # --------------------------------------------------------------------------
@@ -90,11 +85,9 @@ PING = "ping"
 PONG = "pong"
 SHUTDOWN = "shutdown"
 
-_TYPE_CODES: Dict[str, int] = {
-    HELLO: 1, READY: 2, ITEM: 3, RESULT: 4, ITEM_DONE: 5, ERROR: 6,
-    PING: 7, PONG: 8, SHUTDOWN: 9,
-}
-_TYPE_NAMES = {code: name for name, code in _TYPE_CODES.items()}
+#: the whole frame vocabulary
+FRAME_TYPES = (HELLO, READY, ITEM, RESULT, ITEM_DONE, ERROR, PING, PONG,
+               SHUTDOWN)
 
 
 # --------------------------------------------------------------------------
@@ -111,8 +104,7 @@ _T_BYTES = 0x06
 _T_LIST = 0x07
 _T_TUPLE = 0x08
 _T_DICT = 0x09
-_T_SET = 0x0A
-_T_FROZENSET = 0x0B
+# 0x0A and 0x0B stay unassigned: a set is not a wire value
 _T_OBJECT = 0x0C
 _T_ENUM = 0x0D
 
@@ -248,18 +240,12 @@ def _kpack_value(out: bytearray, value: Any) -> None:
         for key, item in value.items():
             _kpack_value(out, key)
             _kpack_value(out, item)
-    elif type(value) in (set, frozenset):
-        out.append(_T_SET if type(value) is set else _T_FROZENSET)
-        _pack_varint(out, len(value))
-        # deterministic order so equal sets encode identically
-        for item in sorted(value, key=repr):
-            _kpack_value(out, item)
     else:
         class_id = _registered_id(type(value))
         if class_id is None:
             raise WireError(
                 "%s is not wire-encodable (not a plain value and "
-                "%s.%s is not in the v3 registry)"
+                "%s.%s is not in the wire registry)"
                 % (type(value).__name__, type(value).__module__,
                    type(value).__qualname__))
         import enum
@@ -318,22 +304,14 @@ def _kunpack_value(buf: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
         length, pos = _unpack_varint(buf, pos)
         _guard_count(length, buf, pos, 1)
         return buf[pos:pos + length], pos + length
-    if tag in (_T_LIST, _T_TUPLE, _T_SET, _T_FROZENSET):
+    if tag in (_T_LIST, _T_TUPLE):
         count, pos = _unpack_varint(buf, pos)
         _guard_count(count, buf, pos, 1)
         items = []
         for _ in range(count):
             item, pos = _kunpack_value(buf, pos, depth + 1)
             items.append(item)
-        if tag == _T_LIST:
-            return items, pos
-        if tag == _T_TUPLE:
-            return tuple(items), pos
-        try:
-            return (set(items) if tag == _T_SET
-                    else frozenset(items)), pos
-        except TypeError as exc:
-            raise WireError("unhashable set element: %s" % exc)
+        return (items if tag == _T_LIST else tuple(items)), pos
     if tag == _T_DICT:
         count, pos = _unpack_varint(buf, pos)
         _guard_count(count, buf, pos, 2)
@@ -391,171 +369,56 @@ def kunpack(data: bytes) -> Any:
     (including trailing bytes — a frame body is exactly one value)."""
     try:
         value, pos = _kunpack_value(data, 0)
+    except WireError:
+        raise
     except RecursionError:
         raise WireError("kpack nesting too deep to decode")
+    except Exception as exc:  # never leak a raw codec error
+        raise WireError("undecodable kpack: %s: %s"
+                        % (type(exc).__name__, exc))
     if pos != len(data):
         raise WireError("%d trailing bytes after value" % (len(data) - pos))
     return value
 
 
 # --------------------------------------------------------------------------
-# Frame bodies
+# Frames
 # --------------------------------------------------------------------------
 
 
-def _varstr(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    _pack_varint(out, len(data))
-    out += data
-
-
-def _read_varstr(buf: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = _unpack_varint(buf, pos)
-    _guard_count(length, buf, pos, 1)
-    try:
-        return buf[pos:pos + length].decode("utf-8"), pos + length
-    except UnicodeDecodeError as exc:
-        raise WireError("undecodable string field: %s" % exc)
-
-
-def _pack_seq_body(message: Dict[str, Any]) -> bytes:
-    seq = message.get("seq") or 0
-    if not isinstance(seq, int) or not 0 <= seq < 1 << 64:
-        raise WireError("heartbeat seq %r is not a u64" % (seq,))
-    return _U64.pack(seq)
-
-
-def _unpack_seq_body(body: bytes) -> Dict[str, Any]:
-    if len(body) != _U64.size:
-        raise WireError("heartbeat body is %d bytes, not 8" % len(body))
-    return {"seq": _U64.unpack(body)[0]}
-
-
-def _pack_result_body(message: Dict[str, Any]) -> bytes:
-    out = bytearray()
-    _varstr(out, str(message.get("item_id") or ""))
-    offset = message.get("offset") or 0
-    if not isinstance(offset, int) or not 0 <= offset < 1 << 32:
-        raise WireError("result offset %r is not a u32" % (offset,))
-    out += _U32.pack(offset)
-    rest = {k: v for k, v in message.items()
-            if k not in ("type", "item_id", "offset")}
-    _kpack_value(out, rest)
-    return bytes(out)
-
-
-def _unpack_result_body(body: bytes) -> Dict[str, Any]:
-    item_id, pos = _read_varstr(body, 0)
-    if pos + _U32.size > len(body):
-        raise WireError("truncated result header")
-    offset = _U32.unpack_from(body, pos)[0]
-    rest, pos = _kunpack_value(body, pos + _U32.size)
-    if pos != len(body):
-        raise WireError("trailing bytes after result body")
-    if not isinstance(rest, dict):
-        raise WireError("result payload is not a dict")
-    message = dict(rest)
-    message.update({"item_id": item_id, "offset": offset})
-    return message
-
-
-def _pack_item_done_body(message: Dict[str, Any]) -> bytes:
-    out = bytearray()
-    _varstr(out, str(message.get("item_id") or ""))
-    rest = {k: v for k, v in message.items()
-            if k not in ("type", "item_id")}
-    _kpack_value(out, rest)
-    return bytes(out)
-
-
-def _unpack_item_done_body(body: bytes) -> Dict[str, Any]:
-    item_id, pos = _read_varstr(body, 0)
-    rest, pos = _kunpack_value(body, pos)
-    if pos != len(body):
-        raise WireError("trailing bytes after item-done body")
-    if not isinstance(rest, dict):
-        raise WireError("item-done payload is not a dict")
-    message = dict(rest)
-    message["item_id"] = item_id
-    return message
-
-
-def _pack_generic_body(message: Dict[str, Any]) -> bytes:
-    rest = {k: v for k, v in message.items() if k != "type"}
-    out = bytearray()
-    _kpack_value(out, rest)
-    return bytes(out)
-
-
-def _unpack_generic_body(body: bytes) -> Dict[str, Any]:
-    rest = kunpack(body)
-    if not isinstance(rest, dict):
-        raise WireError("frame body is not a message dict")
-    for key in rest:
-        if not isinstance(key, str):
-            raise WireError("message field name %r is not a string"
-                            % (key,))
-    return dict(rest)
-
-
-_BODY_CODECS: Dict[str, Tuple[Callable[[Dict[str, Any]], bytes],
-                              Callable[[bytes], Dict[str, Any]]]] = {
-    PING: (_pack_seq_body, _unpack_seq_body),
-    PONG: (_pack_seq_body, _unpack_seq_body),
-    RESULT: (_pack_result_body, _unpack_result_body),
-    ITEM_DONE: (_pack_item_done_body, _unpack_item_done_body),
-}
+def _check_type(kind: Any) -> None:
+    if not isinstance(kind, str) or kind not in FRAME_TYPES:
+        raise WireError("unknown frame type %r" % (kind,))
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    """One message dict -> header + body bytes (not length-prefixed;
+    """One message dict -> version byte + kpack (not length-prefixed;
     the session layer frames and encrypts).  :class:`WireError` when
     the message carries an unknown type or unencodable values."""
-    kind = message.get("type")
-    if not isinstance(kind, str) or kind not in _TYPE_CODES:
-        raise WireError("unknown frame type %r" % (kind,))
-    pack, _unpack = _BODY_CODECS.get(
-        kind, (_pack_generic_body, _unpack_generic_body))
-    try:
-        body = pack(message)
-    except RecursionError:
-        raise WireError("message too deep to encode")
-    return FRAME_HEADER.pack(WIRE_VERSION, _TYPE_CODES[kind], 0,
-                             len(body)) + body
+    _check_type(message.get("type"))
+    return bytes((WIRE_VERSION,)) + kpack(message)
 
 
 def decode_frame(data: bytes) -> Dict[str, Any]:
-    """Header + body bytes -> message dict (with its ``type`` key).
+    """Version byte + kpack -> message dict (with its ``type`` key).
 
-    Raises :class:`WireError` on any malformation, including a header
-    claiming a different protocol version — the caller turns that into
-    a clear version-mismatch rejection.
+    Raises :class:`WireError` on any malformation, including a frame
+    of another protocol version — the caller turns that into a clear
+    version-mismatch rejection.
     """
-    if len(data) < FRAME_HEADER.size:
-        raise WireError("frame of %d bytes is shorter than the %d-byte "
-                        "header" % (len(data), FRAME_HEADER.size))
-    version, code, _flags, body_len = FRAME_HEADER.unpack_from(data, 0)
-    if version != WIRE_VERSION:
+    if not data:
+        raise WireError("empty frame")
+    if data[0] != WIRE_VERSION:
         raise WireError(
             "peer sent protocol v%d frames; this side speaks v%d "
-            "(upgrade both ends of the fabric)" % (version, WIRE_VERSION))
-    body = data[FRAME_HEADER.size:]
-    if body_len != len(body):
-        raise WireError("header claims %d body bytes, frame carries %d"
-                        % (body_len, len(body)))
-    kind = _TYPE_NAMES.get(code)
-    if kind is None:
-        raise WireError("unknown frame type code %d" % code)
-    _pack, unpack = _BODY_CODECS.get(
-        kind, (_pack_generic_body, _unpack_generic_body))
-    try:
-        message = unpack(bytes(body))
-    except WireError:
-        raise
-    except RecursionError:
-        raise WireError("frame body too deep to decode")
-    except Exception as exc:  # never leak a raw struct/unicode error
-        raise WireError("undecodable %s body: %s: %s"
-                        % (kind, type(exc).__name__, exc))
-    message["type"] = kind
+            "(upgrade both ends of the fabric)" % (data[0], WIRE_VERSION))
+    message = kunpack(data[1:])
+    if type(message) is not dict:
+        raise WireError("frame body is %s, not a message dict"
+                        % type(message).__name__)
+    for key in message:
+        if type(key) is not str:
+            raise WireError("message field name %r is not a string"
+                            % (key,))
+    _check_type(message.get("type"))
     return message

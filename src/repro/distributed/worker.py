@@ -1,7 +1,7 @@
 """The worker side of the fabric: one asyncio loop per process.
 
 A worker is a long-lived process that listens for coordinators,
-handshakes (v3 encrypted session, then protocol version + disk-cache
+handshakes (encrypted session, then protocol version + disk-cache
 warm start), and evaluates the ``item`` messages it is sent — each item
 is one kernel version plus an ordered list of
 :class:`~repro.evaluation.specs.CveSpec`s, the same shape

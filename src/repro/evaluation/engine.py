@@ -48,10 +48,10 @@ from repro.compiler import CompilerOptions
 from repro.compiler.cache import (
     CacheStats,
     ContentCache,
-    active_disk_root,
+    apply_disk_cache_config,
     cache_stats as _layer_cache_stats,
     clear_caches as _clear_layer_caches,
-    enable_disk_cache,
+    disk_cache_config,
     merge_stats_into as _merge_stats_into,
     register_cache,
     snapshot_stats as _stats_snapshot,
@@ -276,22 +276,23 @@ class EngineStats:
 
 
 def _evaluate_group(payload: Tuple[str, List[CveSpec], bool, bool,
-                                   Optional[str]]):
+                                   Optional[Tuple[str, int]]]):
     """Worker entry point: evaluate one kernel version's CVEs in order.
 
     Grouping by version means this process builds the version's run
     kernel exactly once (run-build cache, warm after the first CVE) and
     shares parse/compile cache entries across the group.  Workers start
-    with cold memory tiers; when the parent has a disk tier enabled its
-    root rides along in the payload so the worker starts warm from it.
-    Returns the results plus this group's cache-stats delta so the
-    parent can aggregate counters across processes.
+    with cold memory tiers; the parent's disk tier (root and bound, as
+    :func:`~repro.compiler.cache.disk_cache_config` gives them) rides
+    along in the payload, so the worker starts warm from the same tier
+    and trims it to the same bound.  Returns the results plus this
+    group's cache-stats delta so the parent can aggregate counters
+    across processes.
     """
     from repro.evaluation.harness import evaluate_cve
 
-    _version, specs, run_stress, verify_undo, disk_root = payload
-    if disk_root:
-        enable_disk_cache(disk_root)
+    _version, specs, run_stress, verify_undo, disk_cache = payload
+    apply_disk_cache_config(disk_cache)
     before = _stats_snapshot()
     results = [evaluate_cve(spec, run_stress=run_stress,
                             verify_undo=verify_undo)
@@ -345,10 +346,10 @@ def _evaluate_parallel(specs: Sequence[CveSpec], run_stress: bool,
         with ProcessPoolExecutor(
                 max_workers=min(jobs, len(groups))) as pool:
             futures = {}
-            disk_root = active_disk_root()
+            disk_cache = disk_cache_config()
             for version, indices in groups:
                 payload = (version, [specs[i] for i in indices],
-                           run_stress, verify_undo, disk_root)
+                           run_stress, verify_undo, disk_cache)
                 futures[pool.submit(_evaluate_group, payload)] = indices
             for future in as_completed(futures):
                 group_results, cache_delta = future.result()
@@ -377,7 +378,7 @@ def _evaluate_distributed(specs: Sequence[CveSpec], run_stress: bool,
     has warmed the run-build cache, retries items lost with dead
     workers, and rescues any remainder in-process.  ``None`` is
     returned only when no shared secret is configured, no worker
-    answered the handshake or the specs cannot cross the v3 wire — the
+    answered the handshake or the specs cannot cross the wire — the
     caller then walks the same fallback chain the local pool uses.
     """
     from repro.distributed import Coordinator, ProtocolError, protocol

@@ -605,7 +605,7 @@ def step(state: CPUState, memory: Memory) -> StepEvent:
 
 
 def run_slice(state: CPUState, memory: Memory, max_steps: int,
-              syscall_hook: "Optional[Callable[[], None]]" = None,
+              syscall_hook: "Callable[[], None]",
               ) -> "Tuple[int, StepEvent, Optional[str]]":
     """Execute up to ``max_steps`` instructions in one tight loop.
 
@@ -615,21 +615,19 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
     instead of a ``step()`` call plus scheduler bookkeeping.
 
     ``syscall_hook`` (the scheduler's syscall trampoline, bound to the
-    current thread) lets SYSCALL events be serviced *inside* the
-    slice: the hook redirects ``state.ip`` to the kernel entry point
-    and the loop keeps going, instead of unwinding to the scheduler
-    and re-entering for the remaining budget.  Syscall-heavy
-    workloads enter the kernel several times per quantum, and each
-    unwind/re-enter costs more than a short trace body.  Without a
-    hook every non-NORMAL event still returns, and the scheduler
-    services it exactly as before.
+    current thread) services SYSCALL events *inside* the slice: the
+    hook redirects ``state.ip`` to the kernel entry point and the loop
+    keeps going, instead of unwinding to the scheduler and re-entering
+    for the remaining budget.  Syscall-heavy workloads enter the kernel
+    several times per quantum, and each unwind/re-enter costs more
+    than a short trace body.
 
     Returns ``(executed, event, fault)``:
 
     * ``executed`` — instructions that completed (a faulting instruction
       does not count, matching ``step()``'s raise semantics);
     * ``event`` — the event that ended the slice (NORMAL when the step
-      budget ran out; SYSCALL is consumed when a hook is supplied);
+      budget ran out; never SYSCALL, which the hook consumes);
     * ``fault`` — oops message if a machine fault ended the slice.
 
     Self-modifying code stays observable without a per-instruction
@@ -672,7 +670,7 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
                 return executed, normal, str(exc)
             executed += 1
             if event is not normal:
-                if event is _SYSCALL and syscall_hook is not None:
+                if event is _SYSCALL:
                     syscall_hook()
                     continue
                 return executed, event, None
@@ -699,8 +697,7 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
                     if fault is not None:
                         return ran, normal, fault
                     if tevent is not normal:
-                        if (tevent is _SYSCALL
-                                and syscall_hook is not None):
+                        if tevent is _SYSCALL:
                             syscall_hook()
                         else:
                             return ran, tevent, None
@@ -734,8 +731,7 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
                         if fault is not None:
                             return executed, normal, fault
                         if tevent is not normal:
-                            if (tevent is _SYSCALL
-                                    and syscall_hook is not None):
+                            if tevent is _SYSCALL:
                                 syscall_hook()
                             else:
                                 return executed, tevent, None
@@ -813,7 +809,7 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
             elif event is normal and nip <= ip:
                 check = True
             if event is not normal:
-                if event is _SYSCALL and syscall_hook is not None:
+                if event is _SYSCALL:
                     syscall_hook()
                     check = True
                     continue

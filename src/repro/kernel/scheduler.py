@@ -74,9 +74,6 @@ class Scheduler:
                 thread.status = ThreadStatus.EXITED
                 thread.exit_value = cpu.reg(0)
                 return
-            if event is StepEvent.SYSCALL:
-                self.syscall_entry(thread)
-                continue
             if event is StepEvent.SCHED:
                 break
             if executed >= limit and cpu.preempt_disable_depth > 0:

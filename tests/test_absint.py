@@ -25,7 +25,6 @@ from repro.analysis.absint.domain import (
     const,
     dataptr,
     signed32,
-    stackaddr,
 )
 from repro.analysis.datalayout import (
     analyze_data_layout,

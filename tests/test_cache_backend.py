@@ -9,9 +9,9 @@ from repro.compiler.cache import (
     ContentCache,
     DiskBackend,
     MemoryBackend,
-    active_disk_root,
     clear_caches,
     disable_disk_cache,
+    disk_cache_config,
     drop_memory_tiers,
     enable_disk_cache,
 )
@@ -147,9 +147,9 @@ def test_enable_disk_cache_covers_registered_caches(tmp_path,
     from repro.compiler.cache import COMPILE_CACHE, PARSE_CACHE
 
     root = str(tmp_path / "objects")
-    assert active_disk_root() is None
+    assert disk_cache_config() is None
     assert enable_disk_cache(root, max_entries=32) == root
-    assert active_disk_root() == root
+    assert disk_cache_config() == (root, 32)
     assert PARSE_CACHE.disk is not None
     assert COMPILE_CACHE.disk is not None
     # per-cache subdirectories keep the content addresses disjoint
@@ -172,7 +172,7 @@ def test_enable_disk_cache_covers_registered_caches(tmp_path,
     assert _disk_files(root) == []
 
     disable_disk_cache()
-    assert active_disk_root() is None
+    assert disk_cache_config() is None
     assert PARSE_CACHE.disk is None
 
 
@@ -192,3 +192,30 @@ def test_compile_results_survive_a_simulated_restart(tmp_path,
     again = compile_source_cached(source, "unit.c")
     assert COMPILE_CACHE.stats.disk_hits >= 1
     assert first.objfile.name == again.objfile.name
+
+
+def test_pool_groups_keep_the_parents_disk_bound(tmp_path, disk_isolation,
+                                                 monkeypatch):
+    """A ``jobs > 1`` group attaches the parent's disk tier with the
+    parent's bound, not the default 512: ``_evaluate_group`` runs here
+    on a thread standing in for the pool process."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.compiler.cache import COMPILE_CACHE
+    from repro.evaluation import CORPUS, engine
+
+    version = CORPUS[0].kernel_version
+    specs = [s for s in CORPUS if s.kernel_version == version][:2]
+    root = str(tmp_path / "objects")
+    enable_disk_cache(root, max_entries=7)
+    clear_caches()
+    monkeypatch.setattr(engine, "ProcessPoolExecutor",
+                        lambda max_workers: ThreadPoolExecutor(1))
+    stats = engine.EngineStats()
+    results = engine.evaluate_corpus(specs, run_stress=False, jobs=2,
+                                     stats=stats)
+    assert stats.groups == 1 and not stats.fallback_reason
+    assert [r.cve_id for r in results.results] == [s.cve_id for s in specs]
+    assert disk_cache_config() == (root, 7)
+    assert COMPILE_CACHE.disk.max_entries == 7
+    assert 0 < len(COMPILE_CACHE.disk) <= 7

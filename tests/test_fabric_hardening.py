@@ -276,7 +276,6 @@ def test_heartbeat_answered_while_item_runs():
     never retries or rescues."""
     from repro.distributed.coordinator import Coordinator
     from repro.evaluation import CORPUS
-    from repro.evaluation.engine import _evaluate_group
 
     specs = CORPUS[:2]
     # Each item wedges ~2s; three missed 0.2s heartbeats (~0.6s budget)

@@ -14,6 +14,9 @@ Hypothesis drives both with malformed input:
 
 The CLI half runs ``objdump`` and ``inspect`` on three crafted pack
 files and expects exit 3 with one ``error:`` line and no traceback.
+A well-formed pack with no units is refused by ``apply`` before it
+takes an update id, and ``objdump --unit`` naming no unit of the pack
+exits 2.
 """
 
 import json
@@ -202,3 +205,40 @@ def test_cli_exits_3_with_one_error_line(tmp_path, name, command):
     assert child.stderr.startswith("error:")
     assert child.stderr.count("\n") == 1
     assert "Traceback" not in child.stderr
+
+
+def test_objdump_unknown_unit_exits_2_naming_the_units(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "update.kspl"
+    path.write_bytes(_PACK.to_bytes())
+    unit = _PACK.units[0].unit
+    assert main(["objdump", str(path), "--unit", "no/such.c"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "no/such.c" in captured.err and unit in captured.err
+    assert main(["objdump", str(path), "--unit", unit]) == 0
+    assert "section .text." in capsys.readouterr().out
+
+
+def test_empty_pack_is_refused_and_takes_no_update_id():
+    from repro.core import KspliceCore
+    from repro.evaluation.corpus import corpus_by_id
+    from repro.evaluation.engine import run_build_for
+    from repro.evaluation.kernels import kernel_for_version
+    from repro.kernel import boot_kernel
+
+    kernel = kernel_for_version(
+        corpus_by_id("CVE-2006-2451").kernel_version)
+    core = KspliceCore(boot_kernel(kernel.tree,
+                                   build=run_build_for(kernel)))
+    empty = UpdatePack.from_bytes(
+        json.dumps(dict(_DOCUMENT, units=[])).encode("utf-8"))
+    assert empty.update_id == _PACK.update_id
+    with pytest.raises(KspliceError, match="no units"):
+        core.apply(empty)
+    assert core.applied_ids() == []
+    core.apply(UpdatePack.from_bytes(_PACK.to_bytes()))
+    assert core.applied_ids() == [_PACK.update_id]

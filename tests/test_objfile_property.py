@@ -86,8 +86,8 @@ def test_property_copy_is_equal_and_independent(obj):
     clone = obj.copy()
     assert _fingerprint(clone) == _fingerprint(obj)
     for section in clone.sections.values():
-        section.data = b"\xFF" + bytes(section.data[1:]) \
-            if section.data else b"\x01"
+        section.data = bytes([section.data[0] ^ 0xFF]) \
+            + bytes(section.data[1:]) if section.data else b"\x01"
     if any(s.size for s in obj.sections.values()):
         assert _fingerprint(clone) != _fingerprint(obj)
 

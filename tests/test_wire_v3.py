@@ -55,8 +55,6 @@ _values = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(_text, children, max_size=4),
-        st.sets(st.integers(min_value=-1000, max_value=1000),
-                max_size=4),
     ),
     max_leaves=20,
 )
@@ -111,18 +109,34 @@ _struct_bodies = st.one_of(
 @given(_struct_bodies)
 @settings(max_examples=200)
 def test_struct_packed_frame_roundtrip(message):
-    """``ping``/``pong``, ``result`` and ``item-done`` have their own
-    struct-packed bodies (not the generic kpack dict)."""
+    """``ping``/``pong``, ``result`` and ``item-done`` (struct-packed
+    bodies before v4) round-trip through the one kpack frame codec."""
     assert wire.decode_frame(wire.encode_frame(message)) == message
 
 
-@pytest.mark.parametrize("code", [10, 11])
-def test_unassigned_frame_type_codes_are_wire_errors(code):
-    """Codes past ``shutdown`` (9) name no frame type."""
-    frame = bytearray(wire.encode_frame({"type": "shutdown"}))
-    frame[1] = code
-    with pytest.raises(WireError, match="unknown frame type code"):
-        wire.decode_frame(bytes(frame))
+@pytest.mark.parametrize("body", [
+    {"type": "telemetry"}, {"seq": 1}, ["shutdown"], {"type": "ping", 7: 7},
+], ids=["unknown-type", "no-type", "non-dict-body", "non-str-key"])
+def test_unknown_frame_types_and_non_dict_bodies_are_wire_errors(body):
+    """An unknown type name, or a body that is not a dict with str
+    keys, is a ``WireError``."""
+    frame = bytes([wire.WIRE_VERSION]) + wire.kpack(body)
+    with pytest.raises(WireError, match="frame type|message dict|field name"):
+        wire.decode_frame(frame)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, frozenset([3])],
+                         ids=["set", "frozenset"])
+def test_sets_are_not_wire_values(value):
+    """Encoding a set is refused, and v3's set (0x0A) and frozenset
+    (0x0B) tags decode as unknown tags."""
+    with pytest.raises(WireError, match="not wire-encodable"):
+        wire.kpack(value)
+    with pytest.raises(WireError, match="not wire-encodable"):
+        wire.encode_frame({"type": "item", "specs": value})
+    for tag in (0x0A, 0x0B):
+        with pytest.raises(WireError, match="unknown kpack tag 0x%02x" % tag):
+            wire.kunpack(bytes([tag, 1, 0x03, 2]))
 
 
 def test_registered_object_roundtrip():
@@ -232,9 +246,11 @@ def test_tampered_record_is_rejected(plaintext, index, byte):
 
 
 def test_secret_session_transcript_is_pinned(monkeypatch):
-    """A secret-mode session keeps its exact wire bytes: the mode byte
-    stays bound into every proof and into the master key, so a peer
-    from an earlier v3 release with the same secret interoperates."""
+    """A secret-mode session keeps its exact handshake bytes: the mode
+    byte stays bound into every proof and into the master key, so a
+    peer from an earlier release with the same secret completes the
+    handshake.  The record pins the v4 frame layout; a v3 peer's
+    records are refused at their first frame."""
     import hashlib
 
     from repro.distributed import crypto
@@ -248,7 +264,7 @@ def test_secret_session_transcript_is_pinned(monkeypatch):
     response = client.respond(banner)
     confirm = server.verify(response)
     client.verify(confirm)
-    hello = {"type": "hello", "version": 3, "disk_cache": None}
+    hello = {"type": "hello", "version": 4, "disk_cache": None}
     record = protocol.seal_records(
         [protocol.encode_message(hello, protocol.MAX_FRAME)],
         client.ciphers(), protocol.MAX_FRAME)
@@ -264,8 +280,8 @@ def test_secret_session_transcript_is_pinned(monkeypatch):
                          "56504c1292b0cb6e812eae909ad316ff"),
         "confirm": (32, "461f3c3498af7c1b46267d67220d9148"
                         "9bdca770948a407efd536cd047bbf662"),
-        "record": (58, "db1eeba455e8ad225d04ab86ac53d8dd"
-                       "b3796cd8a8a7569c81a557e12a175b79"),
+        "record": (64, "c69d387dc865254b555da2ff97c52424"
+                       "6ee1dcc2cab43c8eb15a8e814f5a82b4"),
     }
     assert protocol.open_record(record[protocol.HEADER_SIZE:],
                                 server.ciphers(),
@@ -281,7 +297,7 @@ def test_replayed_record_is_rejected():
 
 
 @given(st.integers(min_value=60, max_value=600),
-       st.integers(min_value=320, max_value=4096))
+       st.integers(min_value=323, max_value=4096))
 @settings(max_examples=50)
 def test_sealed_burst_splits_within_the_record_bound(count, max_frame):
     """``seal_records`` cuts a burst too big for one record (at least
