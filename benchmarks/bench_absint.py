@@ -15,8 +15,9 @@ Run directly:
 * ``--smoke`` — the CI check: 8 CVEs, ratio gate + proof check.
 * ``--full`` — all 64 corpus CVEs.
 
-Both record into ``BENCH_corpus.json``.  Under pytest the smoke-sized
-measurement runs as a benchmark.
+``--full`` (or no argument) records into ``BENCH_corpus.json``;
+``--smoke`` prints its payload.  Under pytest the smoke-sized
+measurement runs as a benchmark and prints its payload too.
 """
 
 import perfjson
@@ -124,14 +125,14 @@ def test_absint_overhead(benchmark):
     payload, failures = benchmark.pedantic(
         lambda: measure(8), rounds=1, iterations=1)
     _report("absint", payload)
-    perfjson.record("absint_smoke", payload)
+    perfjson.show("absint_smoke", payload)
     assert not failures, failures
 
 
 def run_smoke():
     payload, failures = measure(8)
     _report("smoke", payload)
-    perfjson.record("absint_smoke", payload)
+    perfjson.show("absint_smoke", payload)
     for failure in failures:
         print("SMOKE FAIL: %s" % failure)
     if not failures:

@@ -16,8 +16,9 @@ Run directly:
   with every member updated and the registry must survive a restart.
 * ``--full`` — the acceptance run: 12 members.
 
-Both record into ``BENCH_corpus.json``.  Under pytest the smoke-sized
-measurement runs as a benchmark.
+``--full`` (or no argument) records into ``BENCH_corpus.json``;
+``--smoke`` prints its payload.  Under pytest the smoke-sized
+measurement runs as a benchmark and prints its payload too.
 """
 
 import shutil
@@ -138,14 +139,14 @@ def test_control_plane_convergence(benchmark):
     payload, failures = benchmark.pedantic(
         lambda: measure(4), rounds=1, iterations=1)
     _report("controlplane", payload)
-    perfjson.record("control_plane_smoke", payload)
+    perfjson.show("control_plane_smoke", payload)
     assert not failures, failures
 
 
 def run_smoke():
     payload, failures = measure(4)
     _report("smoke", payload)
-    perfjson.record("control_plane_smoke", payload)
+    perfjson.show("control_plane_smoke", payload)
     for failure in failures:
         print("SMOKE FAIL: %s" % failure)
     if not failures:

@@ -20,7 +20,9 @@ Run directly:
   baseline vs the warm 4-worker fleet; asserts the >=1.5x speedup and
   records both numbers in ``BENCH_corpus.json``.
 
-Under pytest the same measurements run as benchmarks.
+``--smoke`` prints its payload without recording it.  Under pytest
+the full-sized measurement runs as a benchmark and prints its payload
+too.
 """
 
 import shutil
@@ -123,7 +125,7 @@ def test_warm_fleet_beats_cold_jobs1(benchmark):
              payload["fleet_warm_wall_s"],
              payload["speedup_warm_fleet_vs_cold_jobs1"],
              payload["work_items"], payload["retries"]))
-    perfjson.record("distributed_full", payload)
+    perfjson.show("distributed_full", payload)
     assert not failures, failures
 
 
@@ -162,7 +164,7 @@ def run_smoke():
           "%d work items, %d retries"
           % (len(specs), sequential_s, distributed_s, stats.workers,
              stats.work_items, stats.retries))
-    perfjson.record("distributed_smoke", {
+    perfjson.show("distributed_smoke", {
         "cves": len(specs),
         "sequential_wall_s": round(sequential_s, 3),
         "distributed_wall_s": round(distributed_s, 3),

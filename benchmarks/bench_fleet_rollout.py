@@ -14,7 +14,9 @@ Run directly:
 * ``--full`` — the acceptance run: a 12-member fleet; records rollout
   throughput and rollback latency into ``BENCH_corpus.json``.
 
-Under pytest the smoke-sized measurement runs as a benchmark.
+``--smoke`` prints its payload without recording it.  Under pytest
+the smoke-sized measurement runs as a benchmark and prints its
+payload too.
 """
 
 import time
@@ -125,14 +127,14 @@ def test_fleet_rollout_and_rollback(benchmark):
     payload, failures = benchmark.pedantic(
         lambda: measure(4, fault_wave=1), rounds=1, iterations=1)
     _report("fleet", payload)
-    perfjson.record("fleet_smoke", payload)
+    perfjson.show("fleet_smoke", payload)
     assert not failures, failures
 
 
 def run_smoke():
     payload, failures = measure(4, fault_wave=1)
     _report("smoke", payload)
-    perfjson.record("fleet_smoke", payload)
+    perfjson.show("fleet_smoke", payload)
     for failure in failures:
         print("SMOKE FAIL: %s" % failure)
     if not failures:

@@ -35,7 +35,9 @@ Run directly:
   throughput tick; records per-workload rates and trace hit rates
   into ``BENCH_corpus.json``.
 
-Under pytest the smoke-sized measurement runs as a benchmark.
+``--smoke`` prints its payload without recording it.  Under pytest
+the smoke-sized measurement runs as a benchmark and prints its
+payload too.
 """
 
 import gc
@@ -274,7 +276,7 @@ def test_interp_throughput_smoke(benchmark):
     payload, failures = benchmark.pedantic(
         lambda: measure(smoke=True), rounds=1, iterations=1)
     _report("smoke", payload)
-    perfjson.record("interp_throughput_smoke", payload)
+    perfjson.show("interp_throughput_smoke", payload)
     assert not failures, failures
     assert payload["ticks"]["q%d" % THROUGHPUT_TICK]["speedup"] >= 1.0
 
@@ -282,7 +284,7 @@ def test_interp_throughput_smoke(benchmark):
 def run_smoke():
     payload, failures = measure(smoke=True)
     _report("smoke", payload)
-    perfjson.record("interp_throughput_smoke", payload)
+    perfjson.show("interp_throughput_smoke", payload)
     speedup = payload["ticks"]["q%d" % THROUGHPUT_TICK]["speedup"]
     if speedup < 1.0:
         failures.append("jit slower than interpreter (%.2fx)" % speedup)

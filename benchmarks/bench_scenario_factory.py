@@ -11,8 +11,9 @@ Two sizes of the same experiment:
   sweep (``run_stress=False``, parallel version-groups) over all 1k
   scenarios with the same zero-discrepancy / all-proven bar.
 
-Both record a ``scenario_factory`` section into ``BENCH_corpus.json``
-via :mod:`perfjson` so corpus-scale regressions diff in review.
+``--full`` records a ``scenario_factory`` section into
+``BENCH_corpus.json`` via :mod:`perfjson` so corpus-scale regressions
+diff in review; ``--smoke`` prints its payload without recording it.
 
 The pytest entry points benchmark the cheap pure-python layers
 (generation and manifest serialisation) without the evaluation sweep.
@@ -98,9 +99,9 @@ def _sweep(seed, size, jobs=1):
 
 
 def _run(mode, seed, size, jobs):
+    """One sweep, printed; returns its payload and exit status."""
     payload, failures = _sweep(seed, size, jobs=jobs)
     payload["mode"] = mode
-    perfjson.record("scenario_factory", payload)
     print("scenario factory [%s]: %d scenarios generated in %.2fs "
           "(%.0f/s), swept in %.2fs (%.2f/s), %d discrepancies"
           % (mode, size, payload["generation_s"],
@@ -111,18 +112,31 @@ def _run(mode, seed, size, jobs):
         print("%s FAIL: %s" % (mode.upper(), failure))
     if not failures:
         print("%s: OK" % mode)
-    return 1 if failures else 0
+    return payload, 1 if failures else 0
+
+
+def run_smoke():
+    payload, status = _run("smoke", SMOKE_SEED, SMOKE_SIZE, jobs=1)
+    perfjson.show("scenario_factory", payload)
+    return status
+
+
+def run_full():
+    import os
+
+    jobs = max(2, min(8, (os.cpu_count() or 2) - 1))
+    payload, status = _run("full", FULL_SEED, FULL_SIZE, jobs=jobs)
+    perfjson.record("scenario_factory", payload)
+    return status
 
 
 if __name__ == "__main__":
-    import os
     import sys
 
     if "--smoke" in sys.argv[1:]:
-        sys.exit(_run("smoke", SMOKE_SEED, SMOKE_SIZE, jobs=1))
+        sys.exit(run_smoke())
     if "--full" in sys.argv[1:]:
-        jobs = max(2, min(8, (os.cpu_count() or 2) - 1))
-        sys.exit(_run("full", FULL_SEED, FULL_SIZE, jobs=jobs))
+        sys.exit(run_full())
     print("usage: python benchmarks/bench_scenario_factory.py "
           "--smoke | --full\n(the generation micro-benchmarks run "
           "under pytest-benchmark)")

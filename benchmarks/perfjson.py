@@ -7,6 +7,11 @@ one section per benchmark entry point; :func:`record` merges a section
 atomically (write-temp-then-rename) so concurrent benches cannot tear
 the file.
 
+Only recording runs write it: ``--full``, or a bench's run with no
+argument.  ``--smoke`` runs and the pytest ``test_*`` entry points
+are checks, so they :func:`show` their payload instead and leave the
+tracked file as it was.
+
 The filename is deliberately not ``bench_*.py`` so pytest's benchmark
 glob never collects this module.
 """
@@ -30,6 +35,11 @@ def host_fingerprint():
         "machine": platform.machine(),
         "cpus": os.cpu_count() or 1,
     }
+
+
+def show(section, payload):
+    """Print ``{section: payload}`` without recording it."""
+    print("%s: %s" % (section, json.dumps(payload, sort_keys=True)))
 
 
 def record(section, payload, path=None):

@@ -33,9 +33,10 @@ fallback and its reason are printed rather than silently degrading.
 rollout --cve CVE-... --size N`` boots a live fleet and rolls the CVE's
 update out in canary waves with health gating and automatic rollback
 (``--inject-oops/--inject-wedge/--inject-kill MEMBER:WAVE`` prove the
-red paths; ``--worker host:port`` runs the whole rollout on a remote
-worker); ``fleet status`` shows the last rollout's report and ``fleet
-rollback`` replays it and reverses every member it updated.
+red paths; ``--worker host:port`` builds the pack here and runs the
+whole rollout of it on a remote worker); ``fleet status`` shows the
+last rollout's report, which names the applied pack's sha256, and
+``fleet rollback`` replays it and reverses every member it updated.
 
 ``serve`` runs the update-channel control plane
 (:mod:`repro.controlplane`): a coordinator daemon with a REST/JSON API
@@ -1200,8 +1201,9 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="MEMBER[:WAVE]",
                         help="kill this member mid-wave (repeatable)")
     p_roll.add_argument("--worker", default=None, metavar="HOST:PORT",
-                        help="run the rollout on a remote `repro worker` "
-                             "instead of in-process")
+                        help="build the pack here and run its rollout on "
+                             "a remote `repro worker` instead of "
+                             "in-process")
     p_roll.add_argument("--secret", default=None,
                         help="shared secret for --worker authentication")
     p_roll.add_argument("--json", action="store_true",

@@ -18,8 +18,9 @@ inspect).
 Members that registered with a ``worker`` address live on a remote
 ``repro worker``: when every eligible member of a publish shares one
 worker, the whole rollout ships there as a ``fleet-rollout`` item
-(:func:`repro.fleet.remote.run_remote_rollout`) and the worker streams
-wave frames back into the same record.
+(:func:`repro.fleet.remote.run_remote_rollout`) carrying the pack and
+analysis the publish gate proved, and the worker streams wave frames
+back into the same record.
 
 A publish is a short sequence of journal records: the channel entry,
 the rollout record, one record per closed wave, then one batch holding

@@ -38,6 +38,12 @@ analysis reports + cache deltas out).  Registered instances encode as
 ``registry id + state dict`` and decode through ``object.__new__`` on
 the registered class — the wire can only ever name classes in
 :data:`REGISTRY`, so untrusted bytes choose *data shapes*, never code.
+Each tag is tied to the kind of class it may name: the object tag
+``0x0C`` names a registered dataclass, whose state may carry only that
+dataclass's fields and must carry every field without a default (the
+others take their defaults); the enum tag ``0x0D`` names a registered
+``Enum``.  Anything else is a :class:`WireError`, so a decoded object
+always has every attribute its class declares.
 Integers are zigzag LEB128 varints (a heartbeat seq is 1-2 bytes), and
 collection counts are validated against the remaining buffer before
 anything is allocated, so a corrupt count cannot balloon memory.  Sets
@@ -53,8 +59,10 @@ as a protocol violation and drops the peer.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -130,6 +138,18 @@ REGISTRY: Tuple[Tuple[str, str], ...] = (
 
 _classes_by_id: List[Optional[type]] = []
 _ids_by_class: Dict[type, int] = {}
+#: per registered dataclass: field name -> its default's maker, or
+#: None for a field every decoded state must carry
+_fields_by_class: Dict[type, Dict[str, Optional[Callable[[], Any]]]] = {}
+
+
+def _default_maker(spec: "dataclasses.Field[Any]",
+                   ) -> Optional[Callable[[], Any]]:
+    if spec.default is not dataclasses.MISSING:
+        return lambda value=spec.default: value
+    if spec.default_factory is not dataclasses.MISSING:
+        return spec.default_factory
+    return None
 
 
 def _load_registry() -> None:
@@ -140,6 +160,9 @@ def _load_registry() -> None:
     for class_id, (module_name, qualname) in enumerate(REGISTRY):
         module = importlib.import_module(module_name)
         cls = getattr(module, qualname)
+        if not issubclass(cls, enum.Enum):
+            _fields_by_class[cls] = {spec.name: _default_maker(spec)
+                                     for spec in dataclasses.fields(cls)}
         _classes_by_id.append(cls)
         _ids_by_class[cls] = class_id
 
@@ -248,8 +271,6 @@ def _kpack_value(out: bytearray, value: Any) -> None:
                 "%s.%s is not in the wire registry)"
                 % (type(value).__name__, type(value).__module__,
                    type(value).__qualname__))
-        import enum
-
         if isinstance(value, enum.Enum):
             out.append(_T_ENUM)
             _pack_varint(out, class_id)
@@ -327,6 +348,9 @@ def _kunpack_value(buf: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
     if tag == _T_ENUM:
         class_id, pos = _unpack_varint(buf, pos)
         cls = _registered_class(class_id)
+        if not issubclass(cls, enum.Enum):
+            raise WireError("enum tag names %s, which is not an enum"
+                            % cls.__name__)
         raw, pos = _kunpack_value(buf, pos, depth + 1)
         try:
             return cls(raw), pos
@@ -336,22 +360,44 @@ def _kunpack_value(buf: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
     if tag == _T_OBJECT:
         class_id, pos = _unpack_varint(buf, pos)
         cls = _registered_class(class_id)
+        if issubclass(cls, enum.Enum):
+            raise WireError("object tag names %s, which is an enum"
+                            % cls.__name__)
         state, pos = _kunpack_value(buf, pos, depth + 1)
         if not isinstance(state, dict):
             raise WireError("object state for %s is %s, not a dict"
                             % (cls.__name__, type(state).__name__))
-        instance = object.__new__(cls)
-        setstate = getattr(instance, "__setstate__", None)
-        try:
-            if callable(setstate):
-                setstate(state)
-            else:
-                instance.__dict__.update(state)
-        except Exception as exc:
-            raise WireError("rejected state for %s: %s"
-                            % (cls.__name__, exc))
-        return instance, pos
+        return _restore(cls, state), pos
     raise WireError("unknown kpack tag 0x%02x" % tag)
+
+
+def _restore(cls: type, state: Dict[Any, Any]) -> Any:
+    """An instance of the registered dataclass ``cls`` holding
+    ``state``, every field the state omits at its default."""
+    fields = _fields_by_class[cls]
+    for key in state:
+        if key not in fields:
+            raise WireError("%s has no field %r" % (cls.__name__, key))
+    full = {}
+    for name, default in fields.items():
+        if name in state:
+            full[name] = state[name]
+        elif default is None:
+            raise WireError("%s state lacks its field %r"
+                            % (cls.__name__, name))
+        else:
+            full[name] = default()
+    instance = object.__new__(cls)
+    setstate = getattr(instance, "__setstate__", None)
+    try:
+        if callable(setstate):
+            setstate(full)
+        else:
+            instance.__dict__.update(full)
+    except Exception as exc:
+        raise WireError("rejected state for %s: %s"
+                        % (cls.__name__, exc))
+    return instance
 
 
 def kpack(value: Any) -> bytes:

@@ -60,6 +60,7 @@ from repro.distributed.protocol import (
     AuthError,
     ProtocolError,
 )
+from repro.errors import ReproError
 
 #: exit status a worker uses when told to die by fail_after_items
 _FAULT_EXIT = 17
@@ -234,14 +235,17 @@ class _Session:
             return True
         except (ConnectionError, OSError):
             return False  # coordinator is gone; the session is over
+        except ReproError as exc:
+            # a typed refusal (a hostile item, say): one line naming it
+            error = "%s: %s" % (type(exc).__name__, exc)
         except Exception:
-            try:
-                self._send_from_thread({"type": protocol.ERROR,
-                                        "item_id": item_id,
-                                        "error": traceback.format_exc()})
-            except (ConnectionError, OSError):
-                return False
-            return True
+            error = traceback.format_exc()
+        try:
+            self._send_from_thread({"type": protocol.ERROR,
+                                    "item_id": item_id, "error": error})
+        except (ConnectionError, OSError):
+            return False
+        return True
 
     def _run_evaluate_item(self, item: Dict[str, Any]) -> None:
         from repro.compiler.cache import snapshot_stats, stats_delta
@@ -261,7 +265,12 @@ class _Session:
                                 "cache_delta": stats_delta(before)})
 
     def _run_fleet_item(self, item: Dict[str, Any]) -> None:
-        """A whole canary rollout as one item, waves streamed back."""
+        """A whole canary rollout as one item, waves streamed back.
+
+        The item carries the plan, the pack bytes and the publish
+        gate's analysis; the worker applies that pack and never runs
+        ``ksplice_create`` (:func:`repro.fleet.remote.execute_rollout_item`).
+        """
         from repro.fleet.remote import execute_rollout_item
 
         item_id = item.get("item_id")
@@ -272,7 +281,7 @@ class _Session:
                                     "offset": wave_dict.get("index", 0),
                                     "wave": wave_dict})
 
-        report = execute_rollout_item(item["plan"], on_wave=on_wave)
+        report = execute_rollout_item(item, on_wave=on_wave)
         self._send_from_thread({"type": protocol.ITEM_DONE,
                                 "item_id": item_id, "report": report})
 

@@ -21,12 +21,18 @@ time, not imported, so tests can monkeypatch it to prove the
 invalidation works.
 
 Entries are shared, never copied: packs are read-only once built (the
-members of one rollout already share one), and so are reports.
+members of one rollout already share one), and so are reports.  An
+entry also holds, once first asked for, the pack's ``to_bytes()``
+document and its sha256: a worker-backed rollout ships those bytes and
+every rollout report names that digest, so neither is recomputed per
+publish.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from repro.analysis import AnalysisReport
@@ -63,6 +69,16 @@ class CreatedUpdate:
         if self.data_refusal:
             raise DataSemanticsError(self.data_refusal)
         return self.pack
+
+    @cached_property
+    def pack_bytes(self) -> bytes:
+        """The pack's ``to_bytes()`` document, encoded once."""
+        return self.pack.to_bytes()
+
+    @cached_property
+    def pack_sha256(self) -> str:
+        """The hex sha256 of :attr:`pack_bytes`."""
+        return hashlib.sha256(self.pack_bytes).hexdigest()
 
 
 def _corpus_patch(spec_or_id: Union[CveSpec, str], augmented: bool,

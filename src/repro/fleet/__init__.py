@@ -15,7 +15,8 @@ spreads.
   shared build, keepalive workload) and :class:`RolloutOrchestrator`
   (gate -> waves -> health -> grow-or-rollback);
 * :mod:`~repro.fleet.remote` — ship a whole rollout to an
-  authenticated ``repro worker`` as one ``fleet-rollout`` item.
+  authenticated ``repro worker`` as one ``fleet-rollout`` item that
+  carries the plan, the pack and the gate's analysis.
 
 Entry points: ``repro fleet rollout|status|rollback`` and
 :func:`~repro.fleet.orchestrator.rollout_corpus_cve`.

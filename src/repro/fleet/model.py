@@ -172,17 +172,45 @@ class RolloutPlan:
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "RolloutPlan":
+        """Parse a plan; a document that is not one (a field missing or
+        of another JSON type included) raises :class:`RolloutError`
+        with one line naming the problem."""
+        if type(data) is not dict:
+            raise RolloutError("malformed rollout plan: %s, not a JSON "
+                               "object" % type(data).__name__)
+        try:
+            faults = [InjectedFault.from_json_dict(f)
+                      for f in _plan_field(data, "faults", list, [])]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RolloutError("malformed rollout plan: bad fault: %s: %s"
+                               % (type(exc).__name__, exc)) from None
         return cls(
-            cve_id=data["cve_id"],
-            fleet_size=int(data.get("fleet_size", 4)),
-            canary=int(data.get("canary", 1)),
-            growth=int(data.get("growth", 2)),
-            keepalive_instructions=int(
-                data.get("keepalive_instructions", 2_000)),
-            probe=bool(data.get("probe", True)),
-            workload=str(data.get("workload", "spinner")),
-            faults=[InjectedFault.from_json_dict(f)
-                    for f in data.get("faults", [])])
+            cve_id=_plan_field(data, "cve_id", str),
+            fleet_size=_plan_field(data, "fleet_size", int, 4),
+            canary=_plan_field(data, "canary", int, 1),
+            growth=_plan_field(data, "growth", int, 2),
+            keepalive_instructions=_plan_field(
+                data, "keepalive_instructions", int, 2_000),
+            probe=_plan_field(data, "probe", bool, True),
+            workload=_plan_field(data, "workload", str, "spinner"),
+            faults=faults)
+
+
+def _plan_field(data: Dict[str, Any], name: str, kind: type,
+                *default: Any) -> Any:
+    """``data[name]``, refused unless it has JSON type ``kind``; a
+    missing field takes ``default`` when one is given."""
+    if name not in data:
+        if default:
+            return default[0]
+        raise RolloutError("malformed rollout plan: missing field %r"
+                           % name)
+    value = data[name]
+    if type(value) is not kind:
+        raise RolloutError("malformed rollout plan: field %r must be %s, "
+                           "not %s" % (name, kind.__name__,
+                                       type(value).__name__))
+    return value
 
 
 @dataclass
@@ -267,6 +295,9 @@ class RolloutReport:
     lost_members: List[int] = field(default_factory=list)
     #: every surviving member answered the final health probe
     survivors_healthy: bool = True
+    #: hex sha256 of the applied pack's ``to_bytes()`` document ("" in
+    #: a report saved before reports named their pack)
+    pack_sha256: str = ""
 
     def red_wave(self) -> Optional[WaveReport]:
         for wave in self.waves:
@@ -288,6 +319,7 @@ class RolloutReport:
             "rolled_back_members": sorted(self.rolled_back_members),
             "lost_members": sorted(self.lost_members),
             "survivors_healthy": self.survivors_healthy,
+            "pack_sha256": self.pack_sha256,
         }
 
     def to_json(self) -> str:
@@ -306,7 +338,8 @@ class RolloutReport:
             updated_members=list(data.get("updated_members", [])),
             rolled_back_members=list(data.get("rolled_back_members", [])),
             lost_members=list(data.get("lost_members", [])),
-            survivors_healthy=bool(data.get("survivors_healthy", True)))
+            survivors_healthy=bool(data.get("survivors_healthy", True)),
+            pack_sha256=str(data.get("pack_sha256", "")))
         for wave_data in data.get("waves", []):
             wave = WaveReport(index=int(wave_data["index"]),
                               members=list(wave_data.get("members", [])),
@@ -335,6 +368,8 @@ class RolloutReport:
         lines = ["%s  %s on %s: %s"
                  % (self.rollout_id, self.cve_id, self.kernel_version,
                     self.outcome)]
+        if self.pack_sha256:
+            lines.append("  pack: sha256 %s" % self.pack_sha256)
         if self.gate_verdict:
             lines.append("  gate: analyzer verdict %r%s"
                          % (self.gate_verdict,
@@ -417,6 +452,7 @@ def load_report(path: Optional[str] = None) -> RolloutReport:
                            "unreadable or corrupt: %s)" % (path, exc))
     try:
         return RolloutReport.from_json_dict(data)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            RolloutError) as exc:
         raise RolloutError("no rollout recorded at %s (file does not "
                            "hold a rollout report: %s)" % (path, exc))

@@ -416,8 +416,9 @@ def replay_rollback(report: RolloutReport,
         return report
     trace = trace if trace is not None else Trace(
         label="rollback-%s" % report.rollout_id)
-    spec, pack, _analysis = _corpus_update(
+    spec, created, _analysis = _corpus_update(
         report.cve_id, trace, "unknown CVE id %r in saved rollout")
+    pack = created.pack
     with trace.stage("boot-fleet") as rep:
         fleet = Fleet.boot(kernel_for_version(spec.kernel_version),
                            report.plan.fleet_size,
@@ -451,19 +452,41 @@ def rollout_corpus_cve(plan: RolloutPlan,
                        on_wave=None) -> RolloutReport:
     """End-to-end: corpus CVE -> pack (analyzer-gated) -> fleet rollout.
 
-    This is what ``repro fleet rollout --cve ...``, the
-    ``fleet-rollout`` worker item, and a control-plane publish all
-    run; ``on_wave`` (if given) receives each :class:`WaveReport` the
-    moment its verdict lands.  The pack comes from the create memo
+    This is what ``repro fleet rollout --cve ...`` and a control-plane
+    publish to local members run; ``on_wave`` (if given) receives each
+    :class:`WaveReport` the moment its verdict lands.  The pack comes
+    from the create memo
     (:func:`repro.evaluation.analyze.create_corpus_cve`), so after a
     publish gate analysed the update the fleet applies that same pack.
+    A worker-backed rollout takes the same pack and analysis on the
+    client and ships them (:mod:`repro.fleet.remote`); the worker runs
+    :func:`rollout_update` on them.
+    """
+    trace = trace if trace is not None else Trace(
+        label=plan.rollout_id())
+    spec, created, analysis = _corpus_update(plan.cve_id, trace,
+                                             "unknown CVE id %r")
+    return rollout_update(plan, spec, created.pack, analysis,
+                          created.pack_sha256, trace=trace,
+                          on_wave=on_wave)
+
+
+def rollout_update(plan: RolloutPlan, spec, pack: UpdatePack, analysis,
+                   pack_sha256: str, trace: Optional[Trace] = None,
+                   on_wave=None) -> RolloutReport:
+    """Boot the plan's fleet of ``spec``'s kernel and roll ``pack`` out
+    over it, gated on ``analysis``.
+
+    The one rollout path: local rollouts reach it through
+    :func:`rollout_corpus_cve`, and a worker runs it on the pack and
+    analysis a ``fleet-rollout`` item carries, so a worker never
+    creates.  ``pack_sha256`` names the pack's ``to_bytes()`` document
+    on the report.
     """
     from repro.evaluation.kernels import kernel_for_version
 
     trace = trace if trace is not None else Trace(
         label=plan.rollout_id())
-    spec, pack, analysis = _corpus_update(plan.cve_id, trace,
-                                          "unknown CVE id %r")
     with trace.stage("boot-fleet") as rep:
         fleet = Fleet.boot(kernel_for_version(spec.kernel_version),
                            plan.fleet_size, workload=plan.workload)
@@ -471,11 +494,14 @@ def rollout_corpus_cve(plan: RolloutPlan,
     orchestrator = RolloutOrchestrator(
         fleet, plan, probe=spec.probe, trace=trace,
         kernel_version=spec.kernel_version, on_wave=on_wave)
-    return orchestrator.run(pack, analysis=analysis)
+    report = orchestrator.run(pack, analysis=analysis)
+    report.pack_sha256 = pack_sha256
+    return report
 
 
 def _corpus_update(cve_id: str, trace: Trace, unknown: str):
-    """A corpus CVE's spec, shippable pack and analyzer report.
+    """A corpus CVE's spec, created update (checked shippable) and
+    analyzer report.
 
     The ``create`` stage records whether the create memo already held
     the update; either way the data-semantics refusal is re-checked,
@@ -491,5 +517,5 @@ def _corpus_update(cve_id: str, trace: Trace, unknown: str):
         raise RolloutError(unknown % cve_id)
     with trace.stage("create"):
         created = create_corpus_cve(spec, trace=trace)
-        pack = created.shippable_pack()
-    return spec, pack, created.analysis
+        created.shippable_pack()
+    return spec, created, created.analysis

@@ -8,6 +8,7 @@ import pytest
 
 from repro.controlplane import (
     ROLLOUT_COMPLETE,
+    ROLLOUT_GATED,
     ROLLOUT_INTERRUPTED,
     ROLLOUT_RUNNING,
     ChannelStore,
@@ -480,6 +481,88 @@ def test_publish_ships_to_a_shared_worker(tmp_path):
         for member_id in ("edge-00", "edge-01"):
             member = service.store.get_member(member_id)
             assert member.applied_sequence == 1
+    finally:
+        workers[0].stop()
+
+
+def test_worker_backed_publish_names_the_pack_the_gate_proved(tmp_path):
+    """The worker applies the publishing process's pack: the record's
+    report, also through ``GET /rollouts/<id>``, names the sha256 of
+    the pack ``create_corpus_cve`` built here."""
+    import hashlib
+
+    from repro.distributed import spawn_local_workers
+    from repro.evaluation.analyze import create_corpus_cve
+
+    workers = spawn_local_workers(1)
+    try:
+        service = make_service(tmp_path)
+        for member_id in ("edge-00", "edge-01"):
+            service.register_member(member_id, KERNEL, channel="canary",
+                                    worker=workers[0].address)
+        record = service.publish("canary", CVE, synchronous=True)
+    finally:
+        workers[0].stop()
+    pack = create_corpus_cve(CVE).shippable_pack()
+    digest = hashlib.sha256(pack.to_bytes()).hexdigest()
+    assert record.worker == workers[0].address
+    assert record.status == ROLLOUT_COMPLETE
+    assert record.report["pack_sha256"] == digest
+    server = ControlPlaneServer(("127.0.0.1", 0), service=service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        got = ControlPlaneClient(server.url).rollout(record.rollout_id)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert got["report"]["pack_sha256"] == digest
+
+
+def test_forced_reject_to_a_worker_is_gated_there(tmp_path, monkeypatch):
+    """The gate's analysis crosses the wire: a forced publish of an
+    update the analyzer rejects ends ``gated`` on the worker, touches
+    no member and withdraws its entry, as a local rollout does.  The
+    worker forks before the reject is faked, so only the item can
+    carry it."""
+    import repro.evaluation.analyze as analyze_mod
+    import repro.fleet.orchestrator as orchestrator_mod
+    from repro.distributed import spawn_local_workers
+
+    workers = spawn_local_workers(1)
+    try:
+        service = make_service(tmp_path)
+        for member_id in ("edge-00", "edge-01"):
+            service.register_member(member_id, KERNEL, channel="canary",
+                                    worker=workers[0].address)
+        service.publish("canary", CVE, synchronous=True)
+        reject = _fake_report(verdict="reject")
+        corpus_update = orchestrator_mod._corpus_update
+        with monkeypatch.context() as patch:
+            patch.setattr(analyze_mod, "analyze_corpus_cve",
+                          lambda spec, augmented=True: reject)
+            patch.setattr(orchestrator_mod, "_corpus_update",
+                          lambda *args: corpus_update(*args)[:2]
+                          + (reject,))
+            record = service.publish("canary", CVE, synchronous=True,
+                                     force=True)
+        record = service.rollout(record.rollout_id)
+        assert record.worker == workers[0].address
+        assert record.status == ROLLOUT_GATED
+        assert record.forced
+        assert record.waves == []
+        assert record.report["gate_verdict"] == "reject"
+        assert "seeded reject" in record.detail
+        assert service.store.channels.latest_sequence("canary") == 1
+        for member_id in ("edge-00", "edge-01"):
+            assert service.store.get_member(member_id).applied_sequence \
+                == 1
+        # the next publish stacks on the entry the members hold
+        record = service.publish("canary", CVE, synchronous=True)
+        assert record.status == ROLLOUT_COMPLETE
+        entry = service.store.channels.entries("canary")[-1]
+        assert (entry["sequence"], entry["base_sequence"]) == (3, 1)
     finally:
         workers[0].stop()
 

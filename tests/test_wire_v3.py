@@ -148,6 +148,111 @@ def test_registered_object_roundtrip():
     assert back == spec
 
 
+# -- object and enum tags name their kind of class ---------------------------
+
+_T_OBJECT, _T_ENUM = 0x0C, 0x0D
+_CLASSES = [wire._registered_class(i) for i in range(len(wire.REGISTRY))]
+
+
+def test_object_tag_refuses_an_enum_class():
+    """Tag 0x0C on registry id 0 (``CveCategory``) once built an enum
+    member with no ``_name_``, whose ``repr()`` raised later."""
+    with pytest.raises(WireError, match="CveCategory, which is an enum"):
+        wire.kunpack(bytes([_T_OBJECT, 0, 0x09, 0]))
+
+
+def test_enum_tag_refuses_a_dataclass():
+    """Tag 0x0D on ``CacheStats`` once called ``CacheStats(hits=1)``."""
+    with pytest.raises(WireError, match="CacheStats, which is not an enum"):
+        wire.kunpack(bytes([_T_ENUM, 0x0D, 0x03, 0x02]))
+
+
+def test_object_state_omitting_defaults_decodes_whole():
+    """``{"verdict": 1}`` for an ``AnalysisReport`` once built an object
+    whose only attribute was ``verdict``; every other field now takes
+    its default."""
+    from repro.analysis import AnalysisReport
+
+    report = wire.kunpack(bytes([_T_OBJECT, 0x0C, 0x09, 0x01, 0x05, 0x07])
+                          + b"verdict" + bytes([0x03, 0x02]))
+    assert type(report) is AnalysisReport
+    assert report == AnalysisReport(verdict=1)
+    assert "findings=[]" in repr(report)
+
+
+@pytest.mark.parametrize("state, problem", [
+    ({"function": "f"}, "lacks its field 'args'"),
+    ({"function": "f", "args": [], "bogus": 1}, "has no field 'bogus'"),
+    ({"function": "f", "args": [], 7: 1}, "has no field 7"),
+], ids=["missing-field", "unknown-field", "non-str-field"])
+def test_object_state_names_exactly_its_fields(state, problem):
+    probe_call = [c.__name__ for c in _CLASSES].index("ProbeCall")
+    with pytest.raises(WireError, match=problem):
+        wire.kunpack(bytes([_T_OBJECT, probe_call]) + wire.kpack(state))
+
+
+def _fields(cls):
+    import dataclasses
+
+    return {f.name: f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+            for f in dataclasses.fields(cls)}
+
+
+def _payloads(cls):
+    """Values worth decoding as ``cls``'s state or enum value: a
+    well-formed one most of the time, anything else otherwise."""
+    import enum
+
+    if issubclass(cls, enum.Enum):
+        return st.one_of(st.sampled_from([m.value for m in cls]), _values)
+    fields = _fields(cls)
+    required = {name: _values for name, needed in fields.items()
+                if needed}
+    optional = {name: _values for name, needed in fields.items()
+                if not needed}
+    keys = st.one_of(st.sampled_from(sorted(fields)), _text)
+    return st.one_of(st.fixed_dictionaries(required, optional=optional),
+                     st.dictionaries(keys, _values, max_size=6), _values)
+
+
+@given(st.sampled_from([_T_OBJECT, _T_ENUM]),
+       st.integers(min_value=0, max_value=len(wire.REGISTRY) - 1),
+       st.data())
+@settings(max_examples=400)
+def test_every_tag_and_registry_id_decodes_whole_or_not_at_all(
+        tag, class_id, data):
+    """For every (tag, registry id) pair: the value decodes exactly
+    when the tag names the class's kind and the payload fits it, and
+    then it is a whole instance of that class."""
+    import enum
+
+    cls = _CLASSES[class_id]
+    is_enum = issubclass(cls, enum.Enum)
+    payload = data.draw(_payloads(cls))
+    if is_enum:
+        fits = tag == _T_ENUM and any(
+            type(payload) is type(m.value) and payload == m.value
+            for m in cls)
+    else:
+        fields = _fields(cls)
+        fits = (tag == _T_OBJECT and type(payload) is dict
+                and all(key in fields for key in payload)
+                and all(name in payload
+                        for name, needed in fields.items() if needed))
+    blob = bytes([tag, class_id]) + wire.kpack(payload)
+    try:
+        value = wire.kunpack(blob)
+    except WireError:
+        assert not fits
+        return
+    assert fits
+    assert type(value) is cls
+    if not is_enum:
+        assert set(_fields(cls)) <= set(vars(value))
+    repr(value)
+
+
 # -- hostile bytes never leak raw errors -------------------------------------
 
 _RAW_ERRORS = (struct.error, UnicodeDecodeError, IndexError, KeyError,
