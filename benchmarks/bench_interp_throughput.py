@@ -12,9 +12,9 @@ enabled, and the runs must be *architecturally identical* — same
 thread exit values, same total instruction count (hence the same
 scheduler interleaving), and the same final memory image.
 
-Every timed JIT run starts from an empty trace library, so the
-speedups are cold-machine numbers: the machine records and compiles
-every trace it runs.  One *warm* rerun per workload then boots another
+Every timed JIT run starts from an empty trace library and factory
+table (``jit.clear_code_cache()``), so the speedups are cold-machine
+numbers: the machine records and compiles every trace it runs.  One *warm* rerun per workload then boots another
 machine from the same build, which adopts the library's traces instead
 (``traces_adopted`` in the payload); it must end in the same
 architectural state too.
@@ -139,7 +139,8 @@ def _memory_digest(machine):
 
 def _run_one(build, tree, source, rounds, quantum, jit_on, cold=True):
     """One run on a fresh machine; a ``cold`` JIT run first empties
-    the trace library, so it adopts nothing."""
+    the trace library and its factory table, so it adopts nothing and
+    compiles every factory it runs."""
     if jit_on and cold:
         jit.clear_code_cache()
     prev = set_jit_enabled(jit_on)

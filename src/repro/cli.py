@@ -468,9 +468,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         total = jit["total_insns"]
         traced = jit["traced_insns"]
         print("jit: %d insns (%.0f%% traced), %d trace hits, "
-              "%d compiled, %d adopted, %d evicted"
+              "%d compiled, %d adopted, %d shared, %d evicted"
               % (total, 100.0 * traced / total, jit["trace_hits"],
-                 jit["compiled"], jit["adopted"], jit["evicted"]))
+                 jit["compiled"], jit["adopted"], jit["shared"],
+                 jit["evicted"]))
     if stats.workers:
         line = ("distributed: %d worker%s, %d work item%s, %d retr%s"
                 % (stats.workers, "s" if stats.workers != 1 else "",
@@ -674,11 +675,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     jit = meta.get("jit") or {}
     if jit.get("total_insns"):
         print("jit: %d insns (%.0f%% traced), %d trace hits, "
-              "%d compiled, %d adopted, %d evicted"
+              "%d compiled, %d adopted, %d shared, %d evicted"
               % (jit["total_insns"],
                  100.0 * jit["traced_insns"] / jit["total_insns"],
                  jit["trace_hits"], jit["compiled"],
-                 jit.get("adopted", 0), jit["evicted"]))
+                 jit.get("adopted", 0), jit.get("shared", 0),
+                 jit["evicted"]))
     _print_stage_table(_aggregate_traces(traces))
     failed = [(t.label, t.failed_stage()) for t in traces
               if t.failed_stage()]

@@ -401,12 +401,16 @@ class TraceStats:
     interpreted/traced splits without walking hundreds of discarded
     machines.  ``total_insns`` is bumped by the scheduler (one add per
     quantum), the rest by the trace dispatch and eviction paths.
-    ``compiled`` counts traces recorded and compiled on a machine,
-    ``adopted`` traces a machine took from the trace library instead.
+    ``compiled`` counts recordings published (traces recorded on a
+    machine; one identical to a library template binds that template
+    instead), ``shared`` those of them that took their factory from
+    the factory table instead of calling ``compile()`` (another
+    recording generated the same text), and ``adopted`` traces a
+    machine took from the trace library without recording them.
     """
 
     __slots__ = ("total_insns", "traced_insns", "trace_hits",
-                 "compiled", "adopted", "evicted")
+                 "compiled", "adopted", "shared", "evicted")
 
     def __init__(self) -> None:
         self.reset()
@@ -417,6 +421,7 @@ class TraceStats:
         self.trace_hits = 0
         self.compiled = 0
         self.adopted = 0
+        self.shared = 0
         self.evicted = 0
 
     def snapshot(self) -> dict:
@@ -426,6 +431,7 @@ class TraceStats:
             "trace_hits": self.trace_hits,
             "compiled": self.compiled,
             "adopted": self.adopted,
+            "shared": self.shared,
             "evicted": self.evicted,
         }
 
@@ -469,7 +475,7 @@ class _DecodeCache:
 
     __slots__ = ("entries", "traces", "counters", "recording",
                  "traced_insns", "trace_hits", "compiled", "adopted",
-                 "evicted", "code_words")
+                 "shared", "evicted", "code_words")
 
     def __init__(self) -> None:
         self.entries: dict = {}
@@ -480,6 +486,7 @@ class _DecodeCache:
         self.trace_hits = 0
         self.compiled = 0
         self.adopted = 0
+        self.shared = 0
         self.evicted = 0
         #: 4-byte-word keys (address >> 2) covering every byte of every
         #: instruction ever cached — entries, traces, and any in-flight
@@ -792,12 +799,15 @@ def run_slice(state: CPUState, memory: Memory, max_steps: int,
                         status = "ok"
                     if status is not None:
                         if status == "ok" and cache.recording is rec:
-                            new_trace = compile_recorded(rec, memory,
-                                                         StepEvent)
-                            if new_trace is not None:
-                                traces[rec.entry] = new_trace
+                            compiled = compile_recorded(rec, memory,
+                                                        StepEvent)
+                            if compiled is not None:
+                                traces[rec.entry], shared = compiled
                                 cache.compiled += 1
                                 TRACE_STATS.compiled += 1
+                                if shared:
+                                    cache.shared += 1
+                                    TRACE_STATS.shared += 1
                             else:
                                 # uncompilable path (e.g. spans
                                 # segments): back the counter off so

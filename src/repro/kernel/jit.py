@@ -49,16 +49,25 @@ first template whose bytes equal this machine's bytes over the same
 range, registers the path's words in this machine's ``code_words`` (so
 a store into that code still evicts the trace), and binds the factory
 to this machine's memory.  A fleet of identical kernels therefore
-records, compiles and binds each hot path once per process, and a
-trace only ever runs over bytes identical to the ones it was recorded
-from.
+records and binds each hot path once per process, and a trace only
+ever runs over bytes identical to the ones it was recorded from.
+
+A factory is position-independent: its text names every
+address-derived literal from the template's own ``consts`` tuple, so
+the same code recorded in another kernel layout generates the same
+text.  :func:`compile_recorded` looks the text up by sha256 in the
+process-wide factory table beside the library and calls ``compile()``
+only on a miss, so each hot path compiles once per process per shape.
+Only code objects are shared: adoption still compares bytes, and every
+template binds its own constants.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.arch.isa import (
     Instruction,
@@ -85,6 +94,12 @@ _LIBRARY: Dict[int, Tuple["TraceTemplate", ...]] = {}
 _LIBRARY_ORDER: Deque["TraceTemplate"] = deque()
 _LIBRARY_LOCK = threading.Lock()
 _LIBRARY_MAX = 4096
+#: the factory table beside the library: sha256 of a generated text ->
+#: (its compiled ``_make``, how many library templates hold it).  A
+#: factory leaves with the last template holding it, so the table
+#: never outgrows the library; it changes only under
+#: :data:`_LIBRARY_LOCK`.
+_FACTORIES: Dict[str, Tuple[Callable, int]] = {}
 
 #: opcodes that always end a recording.  Calls and returns are *not*
 #: here: the recorder follows them into the callee (the actual executed
@@ -223,23 +238,28 @@ class TraceTemplate:
     which lie in ``[lo, hi)``: a machine holding ``raw`` over that
     range may run it.  ``words`` are the 4-byte words the path's
     instructions cover, ``path`` the recorded addresses (it tells
-    identical recordings apart), and ``make`` the generated factory
-    that binds the trace to one machine.  Nothing here refers to a
-    machine: the library never keeps one alive.
+    identical recordings apart), ``make`` the generated factory that
+    binds the trace to one machine and ``consts`` the recording's
+    address-derived constants it binds with.  ``make`` is shared by
+    every template whose generated text hashes to ``key``.  Nothing
+    here refers to a machine: the library never keeps one alive.
     """
 
-    __slots__ = ("entry", "lo", "hi", "raw", "words", "path", "make")
+    __slots__ = ("entry", "lo", "hi", "raw", "words", "path", "key",
+                 "make", "consts")
 
     def __init__(self, entry: int, lo: int, hi: int, raw: bytes,
                  words: FrozenSet[int], path: Tuple[int, ...],
-                 make) -> None:
+                 key: str, make, consts: Tuple[int, ...]) -> None:
         self.entry = entry
         self.lo = lo
         self.hi = hi
         self.raw = raw
         self.words = words
         self.path = path
+        self.key = key
         self.make = make
+        self.consts = consts
 
 
 class TraceRecorder:
@@ -318,8 +338,10 @@ class TraceRecorder:
 def _generate_source(entry: int,
                      steps: List[Tuple[int, Instruction, int]],
                      kind: str,
-                     exit_target: Optional[int]) -> str:
-    """Emit the superinstruction's Python source (a factory function).
+                     exit_target: Optional[int]
+                     ) -> Tuple[str, Tuple[int, ...]]:
+    """Emit the superinstruction's Python source (a factory function)
+    and the constants tuple its ``_make`` takes as ``_K``.
 
     The path body is emitted twice.  The *fast* body runs while the
     remaining budget covers a whole pass, so it carries no per-step
@@ -328,7 +350,39 @@ def _generate_source(entry: int,
     trace stops at the precise boundary the interpreter would have
     stopped at (quantum accounting — and therefore scheduler
     interleavings — stay bit-identical).
+
+    No address-derived literal appears in the text: instruction and
+    fault IPs, branch, call and return targets, pushed return
+    addresses, and the ABS32 operands of LOAD/STORE/LEA (with their
+    word indices) each take one slot of the constants tuple, so the
+    same code recorded at other addresses generates the same text.
+    A use the path executes on every pass (a guard, a pushed return
+    address, an absolute access, a LEA, a divide's fault IP) reads a
+    name ``_cN`` that ``_make`` binds once per machine; an exit
+    target, read at most once per call, reads ``_K[N]``, so a long
+    trace does not copy one closure cell per instruction on every
+    call.
     """
+    consts: List[int] = []
+    slots: Dict[int, int] = {}
+    #: hot name -> its value (a RET resolves against its CALL's push)
+    hot_values: Dict[str, int] = {}
+
+    def slot(value: int) -> int:
+        n = slots.get(value)
+        if n is None:
+            n = slots[value] = len(consts)
+            consts.append(value)
+        return n
+
+    def hot(value: int) -> str:
+        name = "_c%d" % slot(value)
+        hot_values[name] = value
+        return name
+
+    def cold(value: int) -> str:
+        return "_K[%d]" % slot(value)
+
     written = set()
     reads = set()
     flags_read = flags_written = has_mem = False
@@ -462,10 +516,11 @@ def _generate_source(entry: int,
                 # trace at this PC) resumes exactly where a
                 # pure-interpreter run would have been preempted.
                 emit(depth, "if lim <= %d:" % k)
-                emit_exit(depth + 1, "0x%08X" % addr, k)
+                emit_exit(depth + 1, cold(addr), k)
 
-            def fault_prefix(extra: int = 0) -> None:
-                emit(depth + extra, "state.ip = 0x%08X" % addr)
+            def fault_prefix(extra: int = 0,
+                             ip: Optional[str] = None) -> None:
+                emit(depth + extra, "state.ip = %s" % (ip or cold(addr)))
                 emit(depth + extra, "_f = %d" % k)
 
             def emit_slow_load(d: int, dst: str, a1: str) -> None:
@@ -478,11 +533,11 @@ def _generate_source(entry: int,
                 # can fault, so the fault prefix lives there.
                 if isinstance(a, int):
                     if a & 3:
-                        emit_slow_load(depth, dst, "0x%08X" % a)
+                        emit_slow_load(depth, dst, hot(a))
                         return
-                    a1 = "0x%08X" % a
-                    i1 = "%d - _b1" % (a >> 2)
-                    i2 = "%d - _b2" % (a >> 2)
+                    a1 = hot(a)
+                    i1 = "%s - _b1" % hot(a >> 2)
+                    i2 = "%s - _b2" % hot(a >> 2)
                     al = ""
                 else:
                     a1 = a
@@ -512,10 +567,10 @@ def _generate_source(entry: int,
                 # observed immediately.
                 if isinstance(a, int):
                     fast = not a & 3
-                    a1 = "0x%08X" % a
-                    i1 = "%d - _b1" % (a >> 2)
-                    i2 = "%d - _b2" % (a >> 2)
-                    w = "%d" % (a >> 2)
+                    a1 = hot(a)
+                    w = hot(a >> 2) if fast else ""
+                    i1 = "%s - _b1" % w
+                    i2 = "%s - _b2" % w
                     al = ""
                 else:
                     fast = True
@@ -547,7 +602,7 @@ def _generate_source(entry: int,
                     emit(d, stmt)
                 if guard:
                     emit(d, "if not _t.valid:")
-                    emit_exit(d + 1, target or "0x%08X" % nxt, done)
+                    emit_exit(d + 1, target or cold(nxt), done)
 
             if insn.spec.is_nop:
                 continue
@@ -594,7 +649,7 @@ def _generate_source(entry: int,
                 kill_stores(key)
                 pending = (key, tmp)
             elif opcode is Opcode.LEA:
-                emit(depth, "r%d = %d" % (ops[0], ops[1]))
+                emit(depth, "r%d = %s" % (ops[0], hot(ops[1])))
             elif opcode in _ALU:
                 emit(depth, _ALU[opcode] % {"d": ops[0], "s": ops[1]})
             elif opcode is Opcode.MUL:
@@ -606,13 +661,17 @@ def _generate_source(entry: int,
                 emit(depth, "r%d = (_a * _b) & 0xFFFFFFFF" % d)
             elif opcode in (Opcode.DIV, Opcode.MOD):
                 d, s = ops
-                fault_prefix()
+                ip = hot(addr)
+                fault_prefix(ip=ip)
                 emit(depth, "_dv = r%d - 0x100000000 "
                             "if r%d >= 0x80000000 else r%d" % (s, s, s))
                 emit(depth, "if _dv == 0:")
                 emit_sync(depth + 1)
+                # the interpreter's message, formatted from this
+                # machine's IP only when the fault happens
                 emit(depth + 1, "return n + %d, _N, "
-                                "'divide by zero at 0x%08x'" % (k, addr))
+                                "'divide by zero at 0x%%08x' %% %s"
+                     % (k, ip))
                 emit(depth, "_dd = r%d - 0x100000000 "
                             "if r%d >= 0x80000000 else r%d" % (d, d, d))
                 emit(depth, "_q = int(_dd / _dv)")
@@ -651,7 +710,7 @@ def _generate_source(entry: int,
                 if succ == nxt:
                     # recorded not-taken: side exit if the branch fires
                     emit(depth, "if %s:" % _COND[insn.spec.canonical])
-                    emit_exit(depth + 1, "0x%08X" % taken_target, done)
+                    emit_exit(depth + 1, cold(taken_target), done)
                 elif succ == entry:
                     # recorded taken, closing the loop
                     if close:
@@ -659,11 +718,11 @@ def _generate_source(entry: int,
                              % _COND[insn.spec.canonical])
                         emit(depth + 1, "n += %d" % done)
                         emit(depth + 1, "continue")
-                        emit_exit(depth, "0x%08X" % nxt, done)
+                        emit_exit(depth, cold(nxt), done)
                     else:
                         emit(depth, "if %s:"
                              % _COND_NOT[insn.spec.canonical])
-                        emit_exit(depth + 1, "0x%08X" % nxt, done)
+                        emit_exit(depth + 1, cold(nxt), done)
                         emit(depth, "n += %d" % done)
                     closed = True
                 else:
@@ -671,7 +730,7 @@ def _generate_source(entry: int,
                     # fall-through
                     emit(depth, "if %s:"
                          % _COND_NOT[insn.spec.canonical])
-                    emit_exit(depth + 1, "0x%08X" % nxt, done)
+                    emit_exit(depth + 1, cold(nxt), done)
             elif opcode in (Opcode.JMP, Opcode.JMPS):
                 # control simply continues at the target, which is
                 # the next recorded step (or the entry, handled by
@@ -681,57 +740,60 @@ def _generate_source(entry: int,
                 # Static target: the recorded successor IS where the
                 # call goes, so control simply falls through into the
                 # callee's recorded instructions.
+                ret = hot(nxt)
                 emit(depth, "_sp = (r6 - 4) & 0xFFFFFFFF")
-                emit_store("_sp", "0x%08X" % nxt, post=("r6 = _sp",),
-                           target="0x%08X" % succ)
+                emit_store("_sp", ret, post=("r6 = _sp",),
+                           target=cold(succ))
                 sp_depth -= 4
                 kill_other_class()
-                pending = (("sp", sp_epoch, sp_depth), "0x%08X" % nxt)
+                pending = (("sp", sp_epoch, sp_depth), ret)
             elif opcode is Opcode.CALLR:
                 # Dynamic target: side-exit unless it goes where the
                 # recording went.  The register is read *after* the
                 # push updates r6, matching the interpreter (CALLR
                 # through r6 targets the new stack pointer).
+                ret = hot(nxt)
                 emit(depth, "_sp = (r6 - 4) & 0xFFFFFFFF")
-                emit_store("_sp", "0x%08X" % nxt, post=("r6 = _sp",),
+                emit_store("_sp", ret, post=("r6 = _sp",),
                            target="r%d" % ops[0])
                 sp_depth -= 4
                 kill_other_class()
-                pending = (("sp", sp_epoch, sp_depth), "0x%08X" % nxt)
+                pending = (("sp", sp_epoch, sp_depth), ret)
                 if succ != entry or kind != "loop":
-                    emit(depth, "if r%d != 0x%08X:" % (ops[0], succ))
+                    emit(depth, "if r%d != %s:" % (ops[0], hot(succ)))
                     emit_exit(depth + 1, "r%d" % ops[0], done)
                 elif close:
-                    emit(depth, "if r%d == 0x%08X:" % (ops[0], succ))
+                    emit(depth, "if r%d == %s:" % (ops[0], hot(succ)))
                     emit(depth + 1, "n += %d" % done)
                     emit(depth + 1, "continue")
                     emit_exit(depth, "r%d" % ops[0], done)
                     closed = True
                 else:
-                    emit(depth, "if r%d != 0x%08X:" % (ops[0], succ))
+                    emit(depth, "if r%d != %s:" % (ops[0], hot(succ)))
                     emit_exit(depth + 1, "r%d" % ops[0], done)
                     emit(depth, "n += %d" % done)
                     closed = True
             elif opcode is Opcode.RET:
                 # Dynamic target: guard on the recorded return site.
                 # When the return slot's value is known (forwarded
-                # from the matching CALL's pushed literal — any
+                # from the matching CALL's pushed constant — any
                 # aliasing store would have killed the entry), the
                 # guard resolves at compile time and the whole
                 # load-and-check disappears.
                 key = ("sp", sp_epoch, sp_depth)
                 fwd = avail.get(key)
                 sp_depth += 4
-                if (fwd is not None and fwd.startswith("0x")
-                        and int(fwd, 16) != succ):
-                    fwd = None  # defensive: recording says otherwise
+                pushed = hot_values.get(fwd) if fwd is not None else None
+                if pushed is not None and pushed != succ:
+                    # defensive: recording says otherwise
+                    fwd = pushed = None
                 if fwd is None:
                     emit(depth, "_a = r6")
                     emit_load("_ra", "_a")
                     emit(depth, "r6 = (_a + 4) & 0xFFFFFFFF")
                 else:
                     emit(depth, "r6 = (r6 + 4) & 0xFFFFFFFF")
-                if fwd is not None and fwd.startswith("0x"):
+                if pushed is not None:
                     # statically matches the recorded return site
                     if succ == entry and kind == "loop":
                         emit(depth, "n += %d" % done)
@@ -741,12 +803,12 @@ def _generate_source(entry: int,
                 elif succ != entry or kind != "loop":
                     if fwd is not None:
                         emit(depth, "_ra = %s" % fwd)
-                    emit(depth, "if _ra != 0x%08X:" % succ)
+                    emit(depth, "if _ra != %s:" % hot(succ))
                     emit_exit(depth + 1, "_ra", done)
                 elif close:
                     if fwd is not None:
                         emit(depth, "_ra = %s" % fwd)
-                    emit(depth, "if _ra == 0x%08X:" % succ)
+                    emit(depth, "if _ra == %s:" % hot(succ))
                     emit(depth + 1, "n += %d" % done)
                     emit(depth + 1, "continue")
                     emit_exit(depth, "_ra", done)
@@ -754,7 +816,7 @@ def _generate_source(entry: int,
                 else:
                     if fwd is not None:
                         emit(depth, "_ra = %s" % fwd)
-                    emit(depth, "if _ra != 0x%08X:" % succ)
+                    emit(depth, "if _ra != %s:" % hot(succ))
                     emit_exit(depth + 1, "_ra", done)
                     emit(depth, "n += %d" % done)
                     closed = True
@@ -779,11 +841,11 @@ def _generate_source(entry: int,
                     emit(depth, "r6 = (r6 + 4) & 0xFFFFFFFF")
                 sp_depth += 4
             elif opcode is Opcode.SYSCALL:
-                emit_exit(depth, "0x%08X" % nxt, done, "_SY")
+                emit_exit(depth, cold(nxt), done, "_SY")
             elif opcode is Opcode.SCHED:
-                emit_exit(depth, "0x%08X" % nxt, done, "_SC")
+                emit_exit(depth, cold(nxt), done, "_SC")
             elif opcode is Opcode.HLT:
-                emit_exit(depth, "0x%08X" % addr, done, "_H")
+                emit_exit(depth, cold(addr), done, "_H")
             elif opcode is Opcode.CLI:
                 emit(depth, "state.preempt_disable_depth += 1")
             elif opcode is Opcode.STI:
@@ -812,17 +874,18 @@ def _generate_source(entry: int,
                 avail[pending[0]] = pending[1]
 
         if kind == "cap":
-            emit_exit(depth, "0x%08X" % exit_target, length)
+            emit_exit(depth, cold(exit_target), length)
         elif kind == "loop" and not closed:
             # last step falls (or jumps) straight back to the entry
             emit(depth, "n += %d" % length)
             if not careful and close:
                 emit(depth, "continue")
 
-    emit(0, "def _make(_t, _r, _w, _S, _CW, _N, _SY, _SC, _H, _ME):")
+    emit(0, "def _make(_t, _r, _w, _S, _CW, _N, _SY, _SC, _H, _ME, _K):")
+    bind_at = len(lines)
     emit(1, "def _trace(state, memory, budget,")
     emit(1, "           _t=_t, _r=_r, _w=_w, _S=_S, _CW=_CW,")
-    emit(1, "           _N=_N, _SY=_SY, _SC=_SC, _H=_H, _ME=_ME):")
+    emit(1, "           _N=_N, _SY=_SY, _SC=_SC, _H=_H, _ME=_ME, _K=_K):")
     if used:
         emit(2, "regs = state.regs")
     for i in used:
@@ -863,18 +926,26 @@ def _generate_source(entry: int,
     emit(2, "state.ip = _x")
     emit(2, "return n + _d, %s, None" % ("_e" if needs_event else "_N"))
     emit(1, "return _trace")
-    return "\n".join(lines) + "\n"
+    # the hot constants become closure cells of ``_trace``, read as
+    # plainly as the literals they replace
+    lines[bind_at:bind_at] = [
+        "    _c%d = _K[%d]" % (n, n) for n in range(len(consts))
+        if "_c%d" % n in hot_values]
+    return "\n".join(lines) + "\n", tuple(consts)
 
 
-def compile_recorded(recorder: TraceRecorder, memory,
-                     events) -> Optional[CompiledTrace]:
+def compile_recorded(recorder: TraceRecorder, memory, events
+                     ) -> Optional[Tuple[CompiledTrace, bool]]:
     """Compile a completed recording, publish it, bind it to ``memory``.
 
     ``events`` supplies the interpreter's StepEvent singletons so
     generated code returns the very same objects ``run_slice``
     compares against.  An identical recording already in the library
-    (same entry, path and bytes) is bound without compiling again.
-    Returns None when the path cannot be compiled.
+    (same entry, path and bytes) is bound without compiling again; a
+    recording whose generated text is already in the factory table
+    publishes a template of its own, with its own constants, over the
+    shared factory.  Returns the bound trace and whether its factory
+    was shared, or None when the path cannot be compiled.
     """
     steps = recorder.steps
     if not steps:
@@ -894,22 +965,28 @@ def compile_recorded(recorder: TraceRecorder, memory,
     path = tuple(addr for addr, _, _ in steps)
     for template in _LIBRARY.get(entry, ()):
         if template.path == path and template.raw == raw:
-            return _bind(template, memory, events)
+            return _bind(template, memory, events), True
     try:
-        source = _generate_source(entry, steps, kind,
-                                  recorder.exit_target)
+        source, consts = _generate_source(entry, steps, kind,
+                                          recorder.exit_target)
     except MachineError:
         return None
-    code = compile(source, "<k86-trace-0x%08x>" % entry, "exec")
-    namespace: Dict[str, object] = {}
-    exec(code, namespace)  # noqa: S102 - generated from decoded insns
+    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    held = _FACTORIES.get(key)
+    if held is None:
+        code = compile(source, "<k86-trace-%s>" % key[:16], "exec")
+        namespace: Dict[str, object] = {}
+        exec(code, namespace)  # noqa: S102 - generated from decoded insns
+        make = namespace["_make"]
+    else:
+        make = held[0]
     words = frozenset(
         word for addr, insn, _ in steps
         for word in range(addr >> 2, ((addr + insn.length - 1) >> 2) + 1))
-    template = TraceTemplate(entry, lo, hi, raw, words, path,
-                             namespace["_make"])
+    template = TraceTemplate(entry, lo, hi, raw, words, path, key, make,
+                             consts)
     _publish(template)
-    return _bind(template, memory, events)
+    return _bind(template, memory, events), held is not None
 
 
 def adopt(entry: int, memory, events) -> Optional[CompiledTrace]:
@@ -940,14 +1017,25 @@ def _bind(template: TraceTemplate, memory, events) -> CompiledTrace:
     trace.fn = template.make(
         trace, read, write, holder, code_words,
         events.NORMAL, events.SYSCALL, events.SCHED,
-        events.HALT, MachineError)
+        events.HALT, MachineError, template.consts)
     return trace
 
 
 def _publish(template: TraceTemplate) -> None:
     """Add ``template`` to the library, dropping the oldest templates
-    beyond :data:`_LIBRARY_MAX`."""
+    beyond :data:`_LIBRARY_MAX`, and hold its factory in the table.
+
+    Two machines compiling the same text at once both compile; the
+    later one to publish takes the factory already in the table, so a
+    text keeps one factory while any template holds it.
+    """
     with _LIBRARY_LOCK:
+        held = _FACTORIES.get(template.key)
+        if held is None:
+            _FACTORIES[template.key] = (template.make, 1)
+        else:
+            template.make = held[0]
+            _FACTORIES[template.key] = (held[0], held[1] + 1)
         entry = template.entry
         _LIBRARY[entry] = _LIBRARY.get(entry, ()) + (template,)
         _LIBRARY_ORDER.append(template)
@@ -958,10 +1046,17 @@ def _publish(template: TraceTemplate) -> None:
                 _LIBRARY[old.entry] = rest
             else:
                 del _LIBRARY[old.entry]
+            make, holders = _FACTORIES[old.key]
+            if holders > 1:
+                _FACTORIES[old.key] = (make, holders - 1)
+            else:
+                del _FACTORIES[old.key]
 
 
 def clear_code_cache() -> None:
-    """Empty the trace library (test and benchmark isolation)."""
+    """Empty the trace library and its factory table (test and
+    benchmark isolation: the next recording compiles from nothing)."""
     with _LIBRARY_LOCK:
         _LIBRARY.clear()
         _LIBRARY_ORDER.clear()
+        _FACTORIES.clear()

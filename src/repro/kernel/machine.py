@@ -68,7 +68,8 @@ class MachineHealth:
     thread still on the scheduler.  The thread counters ride along so
     a rollout report can say *why* a member went red.  The interpreter
     perf counters (traced vs interpreted instructions; traces compiled
-    here, adopted from the process's trace library, and evicted) make
+    here, of those the ones whose factory was shared, traces adopted
+    from the process's trace library, and evicted) make
     JIT behavior observable per machine.  They depend on which traces
     earlier machines of the process published, so rollout reports
     leave them out (:func:`repro.fleet.health.check_machine`).
@@ -85,6 +86,7 @@ class MachineHealth:
     trace_hits: int = 0
     traces_compiled: int = 0
     traces_adopted: int = 0
+    traces_shared: int = 0
     traces_evicted: int = 0
     trace_hit_rate: float = 0.0
 
@@ -100,6 +102,7 @@ class MachineHealth:
             "trace_hits": self.trace_hits,
             "traces_compiled": self.traces_compiled,
             "traces_adopted": self.traces_adopted,
+            "traces_shared": self.traces_shared,
             "traces_evicted": self.traces_evicted,
             "trace_hit_rate": self.trace_hit_rate,
         }
@@ -323,6 +326,7 @@ class Machine:
             "trace_hits": cache.trace_hits if cache is not None else 0,
             "traces_compiled": cache.compiled if cache is not None else 0,
             "traces_adopted": cache.adopted if cache is not None else 0,
+            "traces_shared": cache.shared if cache is not None else 0,
             "traces_evicted": cache.evicted if cache is not None else 0,
             "trace_hit_rate": traced / total if total else 0.0,
         }
@@ -348,6 +352,7 @@ class Machine:
             trace_hits=trace["trace_hits"],
             traces_compiled=trace["traces_compiled"],
             traces_adopted=trace["traces_adopted"],
+            traces_shared=trace["traces_shared"],
             traces_evicted=trace["traces_evicted"],
             trace_hit_rate=trace["trace_hit_rate"])
 

@@ -1,5 +1,7 @@
 """Tests for the command-line front-end."""
 
+import re
+
 import pytest
 
 from repro.cli import load_tree_from_directory, main
@@ -337,3 +339,28 @@ def test_worker_without_a_secret_is_a_usage_error():
     assert child.stderr.startswith("error:")
     assert "--secret" in child.stderr
     assert "Traceback" not in child.stderr
+
+
+def test_jit_line_counts_shared_factories(tmp_path, monkeypatch, capsys):
+    """``evaluate`` and ``trace`` print the shared-factory count after
+    the adopted one; a run saved before the count existed reads 0."""
+    from repro.pipeline import Trace, save_run
+    from repro.pipeline.store import TRACE_FILE_ENV
+
+    monkeypatch.setenv(TRACE_FILE_ENV, str(tmp_path / "trace.json"))
+    assert main(["evaluate", "--quick", "--limit", "1"]) == 0
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("jit: ")]
+    assert re.search(r" \d+ adopted, \d+ shared, \d+ evicted$", line)
+    assert main(["trace"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+    jit = {"total_insns": 100, "traced_insns": 50, "trace_hits": 4,
+           "compiled": 3, "adopted": 2, "evicted": 1}
+    for extra, shown in (({}, 0), ({"shared": 2}, 2)):
+        save_run([Trace(label="CVE-2008-0001")],
+                 meta={"command": "evaluate", "jit": dict(jit, **extra)})
+        assert main(["trace"]) == 0
+        assert ("jit: 100 insns (50%% traced), 4 trace hits, 3 compiled, "
+                "2 adopted, %d shared, 1 evicted" % shown) \
+            in capsys.readouterr().out

@@ -17,6 +17,7 @@ from collections import OrderedDict
 import pytest
 
 import repro.kernel.cpu as cpu
+from repro.arch.assembler import Insn, Label, LabelRef, assemble
 from repro.arch.isa import instruction_length
 from repro.core import KspliceCore, ksplice_create
 from repro.evaluation import corpus_by_id
@@ -29,6 +30,8 @@ from repro.evaluation.kernels import kernel_for_version
 from repro.evaluation.stress import load_sustained_workload
 from repro.fleet.orchestrator import Fleet
 from repro.kernel import boot_kernel, jit, set_jit_enabled
+from repro.kernel.cpu import CPUState, StepEvent, run_slice
+from repro.kernel.memory import Memory
 from repro.scenarios import GeneratedCorpus
 
 CVE = "CVE-2006-2451"
@@ -197,6 +200,7 @@ def test_health_report_carries_trace_counters():
     assert health["traces_evicted"] == stats["traces_evicted"]
     assert health["traces_compiled"] == stats["traces_compiled"]
     assert health["traces_adopted"] == stats["traces_adopted"]
+    assert health["traces_shared"] == stats["traces_shared"]
 
     # A second machine of the same kernel adopts the first one's traces.
     prev = set_jit_enabled(True)
@@ -395,6 +399,8 @@ def test_library_holds_no_machine():
         make = template.make
         assert make.__closure__ is None and make.__defaults__ is None
         assert set(make.__globals__) <= {"_make", "__builtins__"}
+        assert isinstance(template.consts, tuple)
+        assert all(type(value) is int for value in template.consts)
     ref = weakref.ref(machine)
     del machine
     gc.collect()
@@ -405,7 +411,7 @@ def test_library_drops_the_oldest_templates_first(monkeypatch):
     monkeypatch.setattr(jit, "_LIBRARY_MAX", 4)
     published = [
         jit.TraceTemplate(0x1000 + 4 * (i % 3), 0, 4, b"\0" * 4,
-                          frozenset([0]), (0,), None)
+                          frozenset([0]), (0,), "text%d" % i, None, ())
         for i in range(7)]
     for template in published:
         jit._publish(template)
@@ -414,6 +420,7 @@ def test_library_drops_the_oldest_templates_first(monkeypatch):
         0x1000: (published[3], published[6]),
         0x1004: (published[4],),
         0x1008: (published[5],)}
+    assert set(jit._FACTORIES) == {"text3", "text4", "text5", "text6"}
 
     # A real workload under a tiny bound stays bounded and exact.
     kernel = kernel_for_version("2.6.16-deb3")
@@ -467,6 +474,7 @@ def test_concurrent_machines_share_the_library():
     assert results == [expected] * 4
     indexed = [t for entry in jit._LIBRARY.values() for t in entry]
     assert sorted(map(id, indexed)) == sorted(map(id, jit._LIBRARY_ORDER))
+    assert _factory_holders() == _library_holders()
 
 
 # -- JIT on/off over generated scenarios -------------------------------------
@@ -522,3 +530,263 @@ def test_generated_fleet_members_adopt_and_match_the_interpreter():
     for _, stats in jitted[1:]:
         assert stats["traces_adopted"] > 0
         assert stats["traces_compiled"] < first["traces_compiled"]
+
+
+# -- relocatable factories: one compile per shape, never a shared trace -----
+
+#: a loop over one global: an ABS32 load, store and LEA, a divide, a
+#: data-dependent branch, and a call/return pair
+def _loop_items(data, opcode="xor", reg=4, imm=5):
+    return [
+        Label("loop"),
+        Insn("load", (1, data)),
+        Insn("addi", (1, 1)),
+        Insn("store", (data, 1)),
+        Insn("lea", (2, data)),
+        Insn("movi", (reg, imm)),
+        Insn(opcode, (3, 3)),
+        Label("div"),
+        Insn("div", (3, 7)),
+        Insn("cmpi", (5, 0)),
+        Insn("jz", (LabelRef("over"),)),
+        Label("fall"),
+        Insn("nop"),
+        Label("over"),
+        Insn("call", (LabelRef("func"),)),
+        Insn("cmpi", (0, 600)),
+        Insn("jl", (LabelRef("loop"),)),
+        Insn("hlt"),
+        Label("func"),
+        Insn("addi", (0, 1)),
+        Insn("ret"),
+    ]
+
+
+class _Layout:
+    """The loop above at its own code and data addresses, on its own
+    memory (the stack sits at the same address in every layout)."""
+
+    def __init__(self, code_base, data_base, r5=0, **variant):
+        self.args = dict(code_base=code_base, data_base=data_base, r5=r5,
+                         **variant)
+        assembled = assemble(_loop_items(data_base + 0x10, **variant))
+        self.code_base = code_base
+        self.labels = {name: code_base + offset
+                       for name, offset in assembled.labels.items()}
+        self.memory = Memory()
+        self.memory.map_segment("code", code_base, data=assembled.code,
+                                executable=True)
+        self.memory.map_segment("data", data_base, size=0x100)
+        self.memory.map_segment("stack", 0x70000, size=0x1000)
+        self.state = self.fresh_state(r5)
+
+    def fresh_state(self, r5=0, r7=3):
+        state = CPUState()
+        state.ip = self.code_base
+        state.regs[5] = r5
+        state.regs[6] = 0x71000
+        state.regs[7] = r7
+        return state
+
+    def run(self, jit_on):
+        """Run to the HLT in 50-step slices; the architectural result."""
+        prev = set_jit_enabled(jit_on)
+        try:
+            event = StepEvent.NORMAL
+            while event is not StepEvent.HALT:
+                _, event, fault = run_slice(self.state, self.memory, 50,
+                                            lambda: None)
+                assert fault is None, fault
+        finally:
+            set_jit_enabled(prev)
+        return tuple(self.state.regs), self.state.ip, self.data()
+
+    def templates(self):
+        """This layout's published templates, by path offset."""
+        base = self.code_base
+        return {tuple(addr - base for addr in t.path): t
+                for t in jit._LIBRARY_ORDER
+                if base <= t.entry < base + 0x1000}
+
+    def trace_at(self, label):
+        return self.memory._decode_cache.traces[self.labels[label]]
+
+    def data(self):
+        return bytes(self.memory.segment("data").data)
+
+    def interpret(self, steps, **regs):
+        """The interpreter's slice from a fresh state over a copy of
+        this layout (its current data included): the state and
+        ``run_slice``'s result."""
+        twin = _Layout(**self.args)
+        twin.memory.segment("data").data[:] = self.data()
+        state = twin.fresh_state(**regs)
+        prev = set_jit_enabled(False)
+        try:
+            result = run_slice(state, twin.memory, steps, lambda: None)
+        finally:
+            set_jit_enabled(prev)
+        return state, result, twin.data()
+
+
+def _run_layouts(*layouts):
+    """Run each layout with the JIT on, requiring the interpreter's
+    result for an identical copy of it."""
+    for layout in layouts:
+        twin = _Layout(**layout.args)
+        assert layout.run(True) == twin.run(False)
+    return layouts
+
+
+def test_address_only_differences_share_one_code_object():
+    """Two recordings of the same loop at other code and data addresses
+    share every factory; a change in an opcode, a register, a branch
+    direction or a small immediate compiles a factory of its own."""
+    a, b = _run_layouts(_Layout(0x10000, 0x30000),
+                        _Layout(0x20000, 0x40000))
+    first, second = a.templates(), b.templates()
+    assert first and set(first) == set(second)
+    for path, template in first.items():
+        other = second[path]
+        assert other.make is template.make
+        assert other.consts != template.consts
+        assert other.key == template.key
+    assert (a.trace_at("loop").fn.__code__
+            is b.trace_at("loop").fn.__code__)
+    assert b.memory._decode_cache.shared == len(second)
+    assert a.memory._decode_cache.shared == 0
+
+    # the changed instruction lies on the loop-head trace's path
+    codes = {t.make.__code__ for t in first.values()}
+    variants = [dict(opcode="or"), dict(reg=2), dict(r5=1), dict(imm=6)]
+    for n, variant in enumerate(variants):
+        layout, = _run_layouts(_Layout(0x100000 + 0x10000 * n,
+                                       0x200000 + 0x10000 * n, **variant))
+        head = [t for path, t in layout.templates().items() if 0 in path]
+        assert head, variant
+        for template in head:
+            assert template.make.__code__ not in codes, variant
+
+
+def test_shared_trace_exits_at_its_own_addresses():
+    """A trace bound over a shared factory side-exits where the
+    interpreter would on its own layout, not its sibling's."""
+    a, b = _run_layouts(_Layout(0x10000, 0x30000),
+                        _Layout(0x20000, 0x40000))
+    assert b.memory._decode_cache.shared > 0
+    for layout in (a, b):
+        trace = layout.trace_at("loop")
+        # recorded with the branch taken; r5 = 1 falls through
+        ref, expected, data = layout.interpret(9, r5=1)
+        state = layout.fresh_state(r5=1)
+        assert trace.fn(state, layout.memory, 1000) == expected
+        assert state.ip == layout.labels["fall"]
+        assert (state.regs, state.ip) == (ref.regs, ref.ip)
+        assert layout.data() == data
+
+
+def test_shared_divide_faults_at_each_layouts_own_ip():
+    """The divide-by-zero message is formatted from the bound IP when the
+    fault happens: one shared DIV trace faults on two layouts with the
+    interpreter's message and IP for each."""
+    a, b = _run_layouts(_Layout(0x10000, 0x30000),
+                        _Layout(0x20000, 0x40000))
+    assert a.trace_at("loop").fn.__code__ is b.trace_at("loop").fn.__code__
+    messages = set()
+    for layout in (a, b):
+        ref, expected, data = layout.interpret(1000, r7=0)
+        state = layout.fresh_state(r7=0)
+        result = layout.trace_at("loop").fn(state, layout.memory, 1000)
+        assert result == expected
+        assert (state.regs, state.ip) == (ref.regs, ref.ip)
+        assert layout.data() == data
+        assert result[2] == ("divide by zero at 0x%08x"
+                             % layout.labels["div"])
+        messages.add(result[2])
+    assert len(messages) == 2
+
+
+def test_clear_code_cache_empties_the_factory_table():
+    """After ``clear_code_cache()`` the next recording compiles, so a cold
+    benchmark rep pays for every factory it runs."""
+    _run_layouts(_Layout(0x10000, 0x30000))
+    assert jit._FACTORIES
+    jit.clear_code_cache()
+    assert not jit._FACTORIES
+    b, = _run_layouts(_Layout(0x20000, 0x40000))
+    assert b.memory._decode_cache.compiled > 0
+    assert b.memory._decode_cache.shared == 0
+    c, = _run_layouts(_Layout(0x50000, 0x60000))
+    assert c.memory._decode_cache.shared == c.memory._decode_cache.compiled
+
+
+def _factory_holders():
+    return {key: held for key, (_, held) in jit._FACTORIES.items()}
+
+
+def _library_holders():
+    """How many library templates hold each factory key."""
+    counts = {}
+    for template in jit._LIBRARY_ORDER:
+        counts[template.key] = counts.get(template.key, 0) + 1
+    return counts
+
+
+def test_evicting_every_template_of_a_shape_drops_its_factory(monkeypatch):
+    """A factory stays while any library template holds it and leaves
+    with the last one, so the table never outgrows the library."""
+    a, b = _run_layouts(_Layout(0x10000, 0x30000),
+                        _Layout(0x20000, 0x40000))
+    keys = {t.key for t in a.templates().values()}
+    assert keys == {t.key for t in b.templates().values()}
+    first = len(a.templates())
+    assert list(jit._LIBRARY_ORDER)[:first] == list(a.templates().values())
+    monkeypatch.setattr(jit, "_LIBRARY_MAX", len(jit._LIBRARY_ORDER))
+
+    for n in range(len(jit._LIBRARY_ORDER)):
+        jit._publish(jit.TraceTemplate(0x900000 + 4 * n, 0, 4, b"\0" * 4,
+                                       frozenset(), (0,), "filler%d" % n,
+                                       None, ()))
+        assert _factory_holders() == _library_holders()
+        assert len(jit._FACTORIES) <= jit._LIBRARY_MAX
+        if n + 1 == first:
+            # a's templates are gone, b's still hold the same factories
+            assert not a.templates() and b.templates()
+            assert keys <= set(jit._FACTORIES)
+    assert not keys & set(jit._FACTORIES)
+
+
+def _stress_members(kernel):
+    fleet = Fleet.boot(kernel, 3, workload="stress")
+    members = []
+    for member in fleet.members:
+        machine = member.machine
+        machine.run(100_000)
+        members.append((
+            (machine.scheduler.total_instructions,
+             tuple((tuple(t.cpu.regs), t.cpu.ip)
+                   for t in machine.scheduler.threads),
+             _digest(machine)),
+            machine.trace_stats()))
+    return members
+
+
+def test_second_kernel_fleet_shares_factories_and_matches_the_interpreter():
+    """A stress fleet on a second corpus kernel, in the process that ran
+    one on a first kernel, compiles fewer factories than it records and
+    still ends every member exactly where the interpreter does."""
+    kernels = [kernel_for_version(v) for v in ("2.6.17", "2.6.20")]
+    runs = []
+    for jit_on in (False, True):
+        prev = set_jit_enabled(jit_on)
+        try:
+            runs.append([_stress_members(kernel) for kernel in kernels])
+        finally:
+            set_jit_enabled(prev)
+    interp, jitted = runs
+    for off, on in zip(interp, jitted):
+        assert [arch for arch, _ in on] == [arch for arch, _ in off]
+    second = [stats for _, stats in jitted[1]]
+    assert sum(stats["traces_shared"] for stats in second) > 0
+    assert all(stats["traces_shared"] <= stats["traces_compiled"]
+               for stats in second)
