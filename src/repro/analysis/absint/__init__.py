@@ -29,25 +29,20 @@ from repro.analysis.absint.abi import (
     caller_arg_counts,
     function_summary,
 )
-from repro.analysis.absint.domain import (
-    AbsValue,
-    MachineState,
-    join_states,
-    join_values,
-)
+from repro.analysis.absint.domain import join_states, join_values
 from repro.analysis.absint.engine import run_absint
 from repro.analysis.absint.equiv import equivalence_evidence
 from repro.analysis.absint.escape import analyze_escapes
 from repro.analysis.absint.interp import (
     FunctionSummary,
+    Workspace,
     summarize_function,
     summarize_section_function,
 )
 
 __all__ = [
-    "AbsValue",
     "FunctionSummary",
-    "MachineState",
+    "Workspace",
     "analyze_abi",
     "analyze_escapes",
     "caller_arg_counts",

@@ -27,10 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.absint.interp import (
-    FunctionSummary,
-    summarize_section_function,
-)
+from repro.analysis.absint.interp import FunctionSummary, Workspace
 from repro.analysis.model import (
     EVIDENCE_ABI,
     VERDICT_REJECT,
@@ -44,15 +41,17 @@ from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile
 
 
-def function_summary(obj: Optional[ObjectFile],
-                     fn: str) -> Optional[FunctionSummary]:
-    """Summary of ``fn``'s function-sections text in ``obj``."""
+def function_summary(obj: Optional[ObjectFile], fn: str,
+                     work: Optional[Workspace] = None,
+                     ) -> Optional[FunctionSummary]:
+    """Summary of ``fn``'s function-sections text in ``obj``, from
+    ``work`` when one create's passes share it."""
     if obj is None:
         return None
     section = obj.sections.get(".text.%s" % fn)
     if section is None:
         return None
-    return summarize_section_function(section, fn)
+    return (work or Workspace()).summary(section, fn)
 
 
 def caller_arg_counts(build: Optional[BuildResult],
@@ -116,10 +115,12 @@ def analyze_abi(unit: str, fn: str,
                 post_obj: Optional[ObjectFile],
                 run_build: Optional[BuildResult],
                 patched_names: Set[str],
+                work: Optional[Workspace] = None,
                 ) -> Tuple[List[Finding], List[Evidence]]:
     """One changed function's ABI proof (or counterexample)."""
-    pre = function_summary(pre_obj, fn)
-    post = function_summary(post_obj, fn)
+    work = work or Workspace()
+    pre = function_summary(pre_obj, fn, work)
+    post = function_summary(post_obj, fn, work)
     if post is None or not post.decode_ok:
         return [], []
 

@@ -6,80 +6,72 @@ three properties the client passes need:
 * **stack discipline** — ``sp`` is tracked as a concrete byte offset
   relative to the function's entry (0 = pointing at the return
   address), or ``None`` once any path makes it unknowable;
-* **register provenance** — every register holds an
-  :class:`AbsValue`: the value it had at entry (``ENTRY``, how we
-  prove callee-saved registers survive), a compile-time constant
-  (``CONST``), the address of a data symbol (``DATAPTR``, the seed of
-  every pointer-escape witness), an address into the current frame
-  (``STACKADDR``), or ``UNKNOWN``;
+* **register provenance** — every register holds a :data:`Value`: the
+  value it had at entry (``ENTRY``, how we prove callee-saved
+  registers survive), a compile-time constant (``CONST``), the address
+  of a data symbol (``DATAPTR``, the seed of every pointer-escape
+  witness), an address into the current frame (``STACKADDR``), or
+  ``UNKNOWN``;
 * **frame contents** — a map from entry-relative stack offsets to
   abstract values, so argument-slot reads (``fp+8+4i``) and pointer
   spills are visible.
 
 Joins are pointwise; two different values join to ``UNKNOWN`` and two
-different stack depths join to unknown-``sp``.  Everything is a frozen
-dataclass so states are hashable-by-value and cheap to compare for the
-fixpoint's convergence test.
+different stack depths join to unknown-``sp``.  Values and states are
+plain tuples, so the fixpoint builds, joins and compares them with no
+per-object constructor:
+
+* a value is ``(kind, value, symbol)``, with ``kind`` selecting which
+  payload is live;
+* a state is ``(sp, regs, stack)``: ``regs`` is a tuple of one value
+  per register, and ``stack`` is a dict from entry-relative byte
+  offsets to values.  A state is never changed once built (a transfer
+  copies the part it writes), so states compare by value and may be
+  shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.arch.isa import NUM_REGISTERS
 
-#: AbsValue kinds
+#: Value kinds
 UNKNOWN = "unknown"
 ENTRY = "entry"          # the value register ``reg`` held at entry
 CONST = "const"          # a compile-time constant (``value``)
 DATAPTR = "dataptr"      # address of data symbol ``symbol`` (+ offset)
 STACKADDR = "stackaddr"  # entry-sp-relative address (``value``)
 
+#: one abstract value: ``(kind, value, symbol)``
+Value = Tuple[str, int, str]
+#: registers, one value per register number
+Regs = Tuple[Value, ...]
+#: frame slots: entry-relative byte offset -> value
+Stack = Dict[int, Value]
+#: one program point: ``(sp, regs, stack)``
+State = Tuple[Optional[int], Regs, Stack]
 
-@dataclass(frozen=True)
-class AbsValue:
-    """One abstract value; ``kind`` selects which payload is live."""
-
-    kind: str
-    value: int = 0
-    symbol: str = ""
-
-    def is_entry(self, reg: int) -> bool:
-        return self.kind == ENTRY and self.value == reg
-
-    def render(self) -> str:
-        if self.kind == CONST:
-            return "#%d" % self.value
-        if self.kind == DATAPTR:
-            return "&%s+%d" % (self.symbol, self.value)
-        if self.kind == STACKADDR:
-            return "sp%+d" % self.value
-        if self.kind == ENTRY:
-            return "entry(r%d)" % self.value
-        return "?"
+TOP: Value = (UNKNOWN, 0, "")
 
 
-TOP = AbsValue(kind=UNKNOWN)
+def entry_value(reg: int) -> Value:
+    return (ENTRY, reg, "")
 
 
-def entry_value(reg: int) -> AbsValue:
-    return AbsValue(kind=ENTRY, value=reg)
+def const(value: int) -> Value:
+    return (CONST, value & 0xFFFFFFFF, "")
 
 
-def const(value: int) -> AbsValue:
-    return AbsValue(kind=CONST, value=value & 0xFFFFFFFF)
+def dataptr(symbol: str, offset: int = 0) -> Value:
+    return (DATAPTR, offset, symbol)
 
 
-def dataptr(symbol: str, offset: int = 0) -> AbsValue:
-    return AbsValue(kind=DATAPTR, value=offset, symbol=symbol)
+def stackaddr(offset: int) -> Value:
+    return (STACKADDR, offset, "")
 
 
-def stackaddr(offset: int) -> AbsValue:
-    return AbsValue(kind=STACKADDR, value=offset)
-
-
-def join_values(a: AbsValue, b: AbsValue) -> AbsValue:
+def join_values(a: Value, b: Value) -> Value:
     return a if a == b else TOP
 
 
@@ -89,57 +81,35 @@ def signed32(value: int) -> int:
     return value - 0x100000000 if value >= 0x80000000 else value
 
 
-@dataclass(frozen=True)
-class MachineState:
-    """Abstract registers + frame at one program point.
-
-    ``sp`` is the entry-relative stack pointer (0 at entry, pushes go
-    negative) or ``None`` when lost.  ``stack`` maps entry-relative
-    byte offsets to values; argument ``i`` lives at ``4 + 4*i`` (the
-    return address occupies offset 0).
-    """
-
-    sp: Optional[int] = 0
-    regs: Tuple[AbsValue, ...] = field(
-        default_factory=lambda: tuple(entry_value(i)
-                                      for i in range(NUM_REGISTERS)))
-    stack: Tuple[Tuple[int, AbsValue], ...] = ()
-
-    def reg(self, index: int) -> AbsValue:
-        return self.regs[index]
-
-    def with_reg(self, index: int, value: AbsValue) -> "MachineState":
-        regs = list(self.regs)
-        regs[index] = value
-        return MachineState(sp=self.sp, regs=tuple(regs),
-                            stack=self.stack)
-
-    def with_sp(self, sp: Optional[int]) -> "MachineState":
-        return MachineState(sp=sp, regs=self.regs, stack=self.stack)
-
-    def stack_dict(self) -> Dict[int, AbsValue]:
-        return dict(self.stack)
-
-    def with_slot(self, offset: int, value: AbsValue) -> "MachineState":
-        slots = self.stack_dict()
-        slots[offset] = value
-        return MachineState(
-            sp=self.sp, regs=self.regs,
-            stack=tuple(sorted(slots.items())))
-
-    def slot(self, offset: int) -> AbsValue:
-        return self.stack_dict().get(offset, TOP)
+#: every register holding its own entry value
+ENTRY_REGS: Regs = tuple(entry_value(i) for i in range(NUM_REGISTERS))
 
 
-def join_states(a: MachineState, b: MachineState) -> MachineState:
-    sp = a.sp if a.sp == b.sp else None
-    regs = tuple(join_values(x, y) for x, y in zip(a.regs, b.regs))
-    a_stack, b_stack = a.stack_dict(), b.stack_dict()
-    slots = {off: join_values(a_stack[off], b_stack[off])
-             for off in set(a_stack) & set(b_stack)
-             if join_values(a_stack[off], b_stack[off]) != TOP}
-    return MachineState(sp=sp, regs=regs,
-                        stack=tuple(sorted(slots.items())))
+def entry_state() -> State:
+    """The state at a function's first instruction: ``sp`` 0 (pointing
+    at the return address), every register its entry value, no slots
+    tracked."""
+    return (0, ENTRY_REGS, {})
+
+
+def join_states(a: State, b: State) -> State:
+    """Pointwise join.  A slot survives only where both sides hold the
+    same known value: a slot tracked on one side only, or holding
+    ``UNKNOWN`` on both (an explicit ``UNKNOWN`` stored by a push or a
+    spill included), is dropped."""
+    a_sp, a_regs, a_stack = a
+    b_sp, b_regs, b_stack = b
+    regs = a_regs if a_regs == b_regs else tuple(
+        [x if x == y else TOP for x, y in zip(a_regs, b_regs)])
+    if a_stack == b_stack and TOP not in a_stack.values():
+        stack = a_stack
+    else:
+        stack = {offset: value for offset, value in a_stack.items()
+                 if value != TOP and b_stack.get(offset) == value}
+    sp = a_sp if a_sp == b_sp else None
+    if sp == a_sp and regs is a_regs and stack is a_stack:
+        return a
+    return (sp, regs, stack)
 
 
 def arg_slot_index(offset: int) -> Optional[int]:

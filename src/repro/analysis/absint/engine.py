@@ -11,6 +11,10 @@ diffs once and
 The return value is the findings these passes reach (ABI rejects and
 resized-layout verdicts) and the evidence records to hang on the
 report.
+
+The passes share one :class:`~repro.analysis.absint.interp.Workspace`:
+each changed function's pre and post text is decoded once, and the
+escape pass reads the post summaries the ABI pass already computed.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.analysis.absint.abi import analyze_abi
 from repro.analysis.absint.equiv import equivalence_evidence
 from repro.analysis.absint.escape import analyze_escapes
+from repro.analysis.absint.interp import Workspace
 from repro.analysis.model import Evidence, Finding
 from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile
@@ -32,8 +37,11 @@ def run_absint(unit_diffs: Dict[str, "UnitDiff"],
                pre_objects: Dict[str, ObjectFile],
                post_objects: Dict[str, ObjectFile],
                run_build: Optional[BuildResult],
+               work: Optional[Workspace] = None,
                ) -> Tuple[List[Finding], List[Evidence]]:
-    """All interpreter-backed passes over one update's diffs."""
+    """All interpreter-backed passes over one update's diffs; ``work``
+    (one per create) counts the fixpoints they ran."""
+    work = work or Workspace()
     patched_names: Set[str] = set()
     for diff in unit_diffs.values():
         patched_names |= set(diff.changed_functions)
@@ -48,15 +56,15 @@ def run_absint(unit_diffs: Dict[str, "UnitDiff"],
 
         for fn in sorted(diff.changed_functions):
             abi_findings, abi_evidence = analyze_abi(
-                unit, fn, pre, post, run_build, patched_names)
+                unit, fn, pre, post, run_build, patched_names, work)
             findings.extend(abi_findings)
             evidence.extend(abi_evidence)
-            equivalence = equivalence_evidence(unit, fn, pre, post)
+            equivalence = equivalence_evidence(unit, fn, pre, post, work)
             if equivalence is not None:
                 evidence.append(equivalence)
 
         escape_findings, escape_evidence = analyze_escapes(
-            unit, diff, pre, post, run_build)
+            unit, diff, pre, post, run_build, work)
         findings.extend(escape_findings)
         evidence.extend(escape_evidence)
     return findings, evidence

@@ -16,16 +16,17 @@ should.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.analysis.absint.interp import Workspace
 from repro.analysis.model import EVIDENCE_EQUIVALENCE, Evidence
-from repro.arch.disassembler import DecodedInstruction, iter_instructions
+from repro.arch.disassembler import DecodedInstruction
 from repro.arch.isa import OperandKind
-from repro.errors import DisassemblyError
 from repro.objfile import ObjectFile, Section
 
 #: a normalized instruction: (canonical mnemonic, operand view)
-NormInstr = Tuple[str, Tuple[str, ...]]
+NormInstr = Tuple[str, Tuple[Union[int, str], ...]]
 
 
 def _normalize(instr: DecodedInstruction,
@@ -33,50 +34,68 @@ def _normalize(instr: DecodedInstruction,
     """Encoding-independent view of one instruction.
 
     Register and immediate operands keep their values; relocated
-    fields compare by target symbol; branch displacements are masked
-    entirely (layout moves them even when the control flow is
-    unchanged — the CFG shape is compared via the mnemonic stream).
+    fields compare by target symbol (``"@sym"``); branch displacements
+    are masked entirely (``"rel"``: layout moves them even when the
+    control flow is unchanged — the CFG shape is compared via the
+    mnemonic stream).  Values are compared as plain integers: two
+    instructions with one canonical mnemonic have the same operand
+    kinds, except the short and long forms of a branch, whose only
+    operand is the masked displacement.
     """
-    operands: List[str] = []
+    offset, instruction, _raw = instr
+    view: List[Union[int, str]] = []
     for (kind, field_offset), value in zip(
-            instr.instruction.spec.operand_fields,
-            instr.instruction.operands):
-        symbol = reloc_symbols.get(instr.offset + field_offset)
+            instruction.spec.operand_fields, instruction.operands):
+        symbol = reloc_symbols.get(offset + field_offset)
         if symbol is not None:
-            operands.append("@" + symbol)
+            view.append("@" + symbol)
         elif kind in (OperandKind.REL32, OperandKind.REL8):
-            operands.append("rel")
-        elif kind is OperandKind.REG:
-            operands.append("r%d" % value)
+            view.append("rel")
         else:
-            operands.append("%d" % value)
-    return (instr.canonical, tuple(operands))
+            view.append(value)
+    return (instruction.spec.canonical, tuple(view))
 
 
-def _normalized_stream(
-        section: Optional[Section]) -> Optional[List[NormInstr]]:
+def _normalized_stream(section: Optional[Section], work: Workspace,
+                       ) -> Optional[List[NormInstr]]:
     if section is None:
         return None
-    reloc_symbols = {r.offset: r.symbol for r in section.relocations}
-    try:
-        return [_normalize(instr, reloc_symbols)
-                for instr in iter_instructions(section.data)
-                if not instr.is_nop]
-    except DisassemblyError:
+    instrs = work.instructions(section)
+    if instrs is None:
         return None
+    reloc_symbols = {r.offset: r.symbol for r in section.relocations}
+    # An instruction with no relocated field and no displacement is its
+    # own view: only those holding a relocation or a branch go through
+    # _normalize.
+    starts = [instr.offset for instr in instrs]
+    relocated = {starts[bisect_right(starts, at) - 1]
+                 for at in reloc_symbols if starts}
+    stream: List[NormInstr] = []
+    for instr in instrs:
+        spec = instr.instruction.spec
+        if spec.is_nop:
+            continue
+        if spec.is_pc_relative or instr.offset in relocated:
+            stream.append(_normalize(instr, reloc_symbols))
+        else:
+            stream.append((spec.canonical, instr.instruction.operands))
+    return stream
 
 
 def equivalence_evidence(unit: str, fn: str,
                          pre_obj: Optional[ObjectFile],
                          post_obj: Optional[ObjectFile],
+                         work: Optional[Workspace] = None,
                          ) -> Optional[Evidence]:
-    """Common-prefix/suffix proof for one changed function."""
+    """Common-prefix/suffix proof for one changed function, reading
+    the decode ``work`` shares with the other passes of a create."""
     pre_section = pre_obj.sections.get(".text.%s" % fn) \
         if pre_obj is not None else None
     post_section = post_obj.sections.get(".text.%s" % fn) \
         if post_obj is not None else None
-    pre = _normalized_stream(pre_section)
-    post = _normalized_stream(post_section)
+    work = work or Workspace()
+    pre = _normalized_stream(pre_section, work)
+    post = _normalized_stream(post_section, work)
     if pre is None or post is None:
         return None
 

@@ -25,10 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.analysis.absint.interp import (
-    FunctionSummary,
-    summarize_section_function,
-)
+from repro.analysis.absint.interp import FunctionSummary, Workspace
 from repro.analysis.datalayout import run_kernel_references, \
     strip_data_prefix
 from repro.analysis.model import (
@@ -45,16 +42,16 @@ if TYPE_CHECKING:
     from repro.core.objdiff import UnitDiff
 
 
-def _post_summaries(post_obj: Optional[ObjectFile],
+def _post_summaries(post_obj: Optional[ObjectFile], work: Workspace,
                     ) -> List[Tuple[str, FunctionSummary]]:
-    """Every replacement function's summary, in name order."""
+    """Every replacement function's summary, in name order (a changed
+    function's is the one its ABI proof already read from ``work``)."""
     if post_obj is None:
         return []
     names = sorted(section.name[len(".text."):]
                    for section in post_obj.text_sections()
                    if section.name.startswith(".text."))
-    return [(fn, summarize_section_function(
-                post_obj.sections[".text.%s" % fn], fn))
+    return [(fn, work.summary(post_obj.sections[".text.%s" % fn], fn))
             for fn in names]
 
 
@@ -69,6 +66,7 @@ def analyze_escapes(unit: str, diff: "UnitDiff",
                     pre_obj: Optional[ObjectFile],
                     post_obj: Optional[ObjectFile],
                     run_build: Optional[BuildResult],
+                    work: Optional[Workspace] = None,
                     ) -> Tuple[List[Finding], List[Evidence]]:
     """One unit's resized-layout findings with their escape evidence.
 
@@ -78,7 +76,7 @@ def analyze_escapes(unit: str, diff: "UnitDiff",
     """
     if not diff.resized_data:
         return [], []
-    summaries = _post_summaries(post_obj)
+    summaries = _post_summaries(post_obj, work or Workspace())
     evidence: List[Evidence] = []
     escapes_seen: Dict[str, bool] = {}
     for symbol in sorted(set(diff.resized_data)):

@@ -2,8 +2,8 @@
 
 :func:`summarize_function` decodes one function's text, builds its
 control-flow graph (short and long branches resolve to the same
-in-buffer targets), and runs a join-based worklist fixpoint over
-:class:`~repro.analysis.absint.domain.MachineState`.  The result is a
+in-buffer targets), and runs a join-based worklist fixpoint over the
+tuple states of :mod:`~repro.analysis.absint.domain`.  The result is a
 :class:`FunctionSummary` — the single artifact every client pass
 (ABI, pointer escape, sleep reachability) reads:
 
@@ -17,15 +17,22 @@ in-buffer targets), and runs a join-based worklist fixpoint over
 * every ``sched``/``hlt`` site (sleep points) and every direct
   load/store touching a data symbol (access witnesses).
 
+Events are recorded on every visit of their instruction, so a site
+the fixpoint reaches twice is listed twice.
+
 The interpreter is sound-for-evidence rather than complete: anything
 it cannot model folds to ``UNKNOWN``/unknown-``sp``, which can only
 suppress a downgrade-to-safe, never invent one.
+
+One create's passes share a :class:`Workspace`: each text section is
+decoded and each function summarized at most once per create, and the
+workspace counts the fixpoints it ran and their worklist visits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.absint.domain import (
     CONST,
@@ -33,17 +40,19 @@ from repro.analysis.absint.domain import (
     ENTRY,
     STACKADDR,
     TOP,
-    AbsValue,
-    MachineState,
+    State,
+    Value,
     arg_slot_index,
     const,
     dataptr,
+    entry_state,
+    entry_value,
     join_states,
     signed32,
     stackaddr,
 )
 from repro.arch.disassembler import DecodedInstruction, iter_instructions
-from repro.arch.isa import REG_FP, REG_SP, OperandKind
+from repro.arch.isa import NUM_REGISTERS, REG_FP, REG_SP, OperandKind
 from repro.errors import DisassemblyError
 from repro.objfile import Section
 
@@ -153,6 +162,325 @@ def _relocation_map(section: Section) -> Dict[int, Tuple[str, int]]:
             for reloc in section.relocations}
 
 
+#: the transfer each mnemonic dispatches to; any other (compares, nops,
+#: ``cli``/``sti`` and branches) is a ``pass`` that changes no state
+_OPS: Dict[str, str] = {
+    "movi": "set", "lea": "set",
+    "load": "kill", "neg": "kill", "not": "kill", "syscall": "kill",
+    "movr": "movr", "push": "push", "pop": "pop", "loadr": "loadr",
+    "storer": "storer", "store": "store", "addi": "addi",
+    "call": "call", "callr": "call", "ret": "ret",
+    "sched": "sleep", "hlt": "sleep",
+    **{mnem: "alu" for mnem in ("add", "sub", "mul", "div", "and", "or",
+                                "xor", "shl", "shr", "mod")},
+}
+
+_BRANCHES = ("jmp", "jz", "jnz", "jl", "jg", "jle", "jge")
+
+#: one instruction prepared for the fixpoint:
+#: ``(op, operands, in-function successors, payload)``
+_Step = Tuple[str, Tuple[int, ...], Tuple[int, ...], Any]
+
+
+def _prepare(instrs: List[DecodedInstruction],
+             relocations: Dict[int, Tuple[str, int]],
+             ) -> Dict[int, _Step]:
+    """Everything about each instruction that no abstract state can
+    change, worked out once per summary: the transfer to run, the
+    successors inside the function, and the op's static payload
+    (the value a ``movi``/``lea`` loads, the access a relocated
+    ``load``/``store`` records, a signed immediate, a call's
+    relocated callee)."""
+    offsets = {instr.offset for instr in instrs}
+    steps: Dict[int, _Step] = {}
+    for instr in instrs:
+        offset, instruction, _raw = instr
+        spec = instruction.spec
+        mnem = spec.mnemonic
+        ops = instruction.operands
+        fall = offset + spec.length
+        succs: Tuple[int, ...] = (fall,)
+        op = _OPS.get(mnem, "pass")
+        payload: Any = None
+        if op == "pass":
+            canonical = spec.canonical
+            if canonical in _BRANCHES:
+                # every branch is pc-relative: operand 0 is the
+                # displacement from the end of the instruction
+                target = fall + ops[0]
+                succs = (target,) if canonical == "jmp" \
+                    else (fall, target)
+        elif op == "set":
+            entry = _reloc_symbol_for(instr, relocations,
+                                      OperandKind.ABS32) \
+                if mnem == "lea" else None
+            payload = dataptr(entry[0], entry[1]) if entry is not None \
+                else const(ops[1])
+        elif op in ("kill", "store"):
+            entry = _reloc_symbol_for(instr, relocations,
+                                      OperandKind.ABS32) \
+                if mnem in ("load", "store") else None
+            access = None if entry is None else AccessEvent(
+                offset=offset, symbol=entry[0], mnemonic=mnem,
+                is_write=mnem == "store")
+            # a syscall leaves its result in r0
+            payload = access if op == "store" \
+                else (ops[0] if ops else 0, access)
+        elif op == "loadr":
+            payload = signed32(ops[2])
+        elif op in ("storer", "addi"):
+            payload = signed32(ops[1])
+        elif op == "alu":
+            payload = mnem
+        elif op == "call":
+            entry = _reloc_symbol_for(instr, relocations,
+                                      OperandKind.REL32) \
+                if mnem == "call" else None
+            # an unrelocated call's callee is resolved on its first
+            # visit, from its branch target
+            payload = (mnem, entry[0] if entry is not None
+                       else None if mnem == "call" else "",
+                       instr.branch_target_offset())
+        elif op == "ret" or mnem == "hlt":
+            succs = ()  # a halted thread sleeps and never falls through
+        if succs and not (succs[0] in offsets and succs[-1] in offsets):
+            succs = tuple([succ for succ in succs if succ in offsets])
+        steps[offset] = (op, ops, succs, payload)
+    return steps
+
+
+def _fixpoint(summary: FunctionSummary,
+              instrs: List[DecodedInstruction],
+              relocations: Dict[int, Tuple[str, int]],
+              resolve_callee: Optional[Callable[[int], str]],
+              ) -> int:
+    """Run the worklist fixpoint over ``instrs`` (non-empty), recording
+    every visit's events on ``summary``; returns the number of visits.
+
+    The worklist is LIFO; an instruction is visited at most
+    :data:`MAX_VISITS_PER_INSTRUCTION` times, and a successor goes back
+    on the worklist whenever the state flowing into it changes.  The
+    transfers are inline, one branch per op: a function call per visit
+    would cost about as much as the transfer itself.
+    """
+    steps = _prepare(instrs, relocations)
+    first = instrs[0].offset
+    states: Dict[int, State] = {first: entry_state()}
+    worklist = [first]
+    pop, push = worklist.pop, worklist.append
+    visits: Dict[int, int] = {}
+    budget = MAX_VISITS_PER_INSTRUCTION
+    callees: Dict[int, str] = {}
+    arg_slots_read = summary.arg_slots_read
+    accesses, escapes = summary.accesses, summary.escapes
+    max_depth = summary.max_stack_depth
+    count = 0
+
+    while worklist:
+        offset = pop()
+        seen = visits.get(offset, 0)
+        if seen >= budget:
+            continue
+        visits[offset] = seen + 1
+        count += 1
+        op, ops, succs, payload = steps[offset]
+        sp, regs, stack = states[offset]
+        reg: Optional[int] = None  # the register this op writes
+        value: Value = TOP
+
+        if op == "pass":
+            pass
+        elif op == "set":
+            reg, value = ops[0], payload
+        elif op == "movr":
+            dst, src = ops
+            value = regs[src]
+            if src == REG_SP and sp is not None:
+                value = stackaddr(sp)
+            if dst == REG_SP:
+                sp = value[1] if value[0] == STACKADDR else None
+            else:
+                reg = dst
+        elif op == "push":
+            if sp is not None:
+                sp -= 4
+                stack = dict(stack)
+                stack[sp] = regs[ops[0]]
+        elif op == "pop":
+            reg = ops[0]
+            if sp is not None:
+                value = stack.get(sp, TOP)
+                sp += 4
+        elif op == "kill":
+            reg, access = payload
+            if access is not None:
+                accesses.append(access)
+        elif op == "loadr":
+            reg, base = ops[0], ops[1]
+            base_value = regs[base]
+            if base == REG_SP and sp is not None:
+                base_value = stackaddr(sp)
+            if base_value[0] == STACKADDR:
+                at = base_value[1] + payload
+                value = stack.get(at, TOP)
+                arg = arg_slot_index(at)
+                if arg is not None:
+                    arg_slots_read.add(arg)
+                    if value == TOP:
+                        # arguments keep their caller-supplied identity
+                        # so pointer arguments stay trackable
+                        value = entry_value(-(arg + 1))
+            elif base_value[0] == DATAPTR:
+                accesses.append(AccessEvent(
+                    offset=offset, symbol=base_value[2],
+                    mnemonic="loadr", is_write=False))
+        elif op == "alu":
+            reg, src = ops
+            a, b = regs[reg], regs[src]
+            if payload in ("add", "sub") \
+                    and (a[0] == DATAPTR or b[0] == DATAPTR):
+                # indexing into the symbol: keep provenance, drop the
+                # offset
+                value = dataptr(a[2] if a[0] == DATAPTR else b[2], 0)
+            elif payload == "add" and a[0] == CONST and b[0] == CONST:
+                value = const(a[1] + b[1])
+        elif op == "storer":
+            base, src = ops[0], ops[2]
+            base_value = regs[base]
+            stored = regs[src]
+            if base == REG_SP and sp is not None:
+                base_value = stackaddr(sp)
+            if base_value[0] == STACKADDR:
+                stack = dict(stack)
+                stack[base_value[1] + payload] = stored
+            elif base_value[0] == DATAPTR:
+                accesses.append(AccessEvent(
+                    offset=offset, symbol=base_value[2],
+                    mnemonic="storer", is_write=True))
+                if stored[0] == DATAPTR:
+                    escapes.append(EscapeEvent(
+                        offset=offset, symbol=stored[2],
+                        mnemonic="storer",
+                        reason="pointer stored through a pointer "
+                               "into %s" % base_value[2]))
+            elif stored[0] == DATAPTR:
+                escapes.append(EscapeEvent(
+                    offset=offset, symbol=stored[2], mnemonic="storer",
+                    reason="pointer stored through an untracked "
+                           "pointer"))
+        elif op == "addi":
+            dst = ops[0]
+            if dst == REG_SP:
+                if sp is not None:
+                    sp += payload
+            else:
+                reg = dst
+                old = regs[dst]
+                kind = old[0]
+                if kind == CONST:
+                    value = const(old[1] + payload)
+                elif kind == STACKADDR:
+                    value = stackaddr(old[1] + payload)
+                elif kind == DATAPTR:
+                    value = dataptr(old[2], old[1] + payload)
+        elif op == "ret":
+            fp_value = regs[REG_FP]
+            r0 = regs[0]
+            summary.rets.append(RetSite(
+                offset=offset, sp=sp,
+                fp_preserved=fp_value[0] == ENTRY
+                and fp_value[1] == REG_FP,
+                preserved_registers=tuple(
+                    i for i in range(8)
+                    if i != REG_SP and regs[i][0] == ENTRY
+                    and regs[i][1] == i),
+                returns_pointer_to=r0[2] if r0[0] == DATAPTR else ""))
+        elif op == "store":
+            if payload is not None:
+                accesses.append(payload)
+            stored = regs[ops[1]]
+            if stored[0] == DATAPTR:
+                escapes.append(EscapeEvent(
+                    offset=offset, symbol=stored[2], mnemonic="store",
+                    reason="pointer stored to global memory"))
+        elif op == "call":
+            mnem, callee, branch = payload
+            if callee is None:
+                callee = callees.get(offset)
+                if callee is None:
+                    callee = "" if resolve_callee is None \
+                        or branch is None else resolve_callee(branch)
+                    callees[offset] = callee
+            live: Set[str] = set()
+            if sp is not None:
+                live = {slot_value[2]
+                        for slot_offset, slot_value in stack.items()
+                        if sp <= slot_offset < 0
+                        and slot_value[0] == DATAPTR}
+            symbols = tuple(sorted(live))
+            summary.calls.append(CallSite(
+                offset=offset, callee=callee,
+                live_pointer_symbols=symbols))
+            for symbol in symbols:
+                escapes.append(EscapeEvent(
+                    offset=offset, symbol=symbol, mnemonic=mnem,
+                    reason="live pointer on the stack at call to %s"
+                           % (callee or "(indirect)")))
+            regs = tuple([TOP if i in CALL_CLOBBERED else regs[i]
+                          for i in range(NUM_REGISTERS)])
+        elif op == "sleep":
+            summary.sleep_sites.append(offset)
+
+        if reg is not None:
+            written = list(regs)
+            written[reg] = value
+            regs = tuple(written)
+        out: State = (sp, regs, stack)
+        if sp is not None and sp < max_depth:
+            max_depth = sp
+        for succ in succs:
+            old_state = states.get(succ)
+            if old_state is None:
+                states[succ] = out
+                push(succ)
+            else:
+                merged = join_states(old_state, out)
+                if merged != old_state:
+                    states[succ] = merged
+                    push(succ)
+    summary.max_stack_depth = max_depth
+    return count
+
+
+#: a text's instructions, or None and why they do not decode
+_Decoded = Tuple[Optional[List[DecodedInstruction]], str]
+
+
+def _decode_text(code: bytes, start: int, end: int) -> _Decoded:
+    try:
+        return list(iter_instructions(code, start, end)), ""
+    except DisassemblyError as exc:
+        return None, str(exc)
+
+
+def _summarize(name: str, size: int, decoded: _Decoded,
+               relocations: Dict[int, Tuple[str, int]],
+               resolve_callee: Optional[Callable[[int], str]],
+               ) -> Tuple[FunctionSummary, int]:
+    """One function's summary and the fixpoint's visit count."""
+    summary = FunctionSummary(name=name, size=size)
+    instrs, reason = decoded
+    if instrs is None:
+        summary.decode_ok = False
+        summary.opaque_reason = reason
+        return summary, 0
+    summary.instruction_count = len(instrs)
+    if not instrs:
+        return summary, 0
+    return summary, _fixpoint(summary, instrs, relocations,
+                              resolve_callee)
+
+
 def summarize_function(
         name: str,
         code: bytes,
@@ -163,241 +491,8 @@ def summarize_function(
         ) -> FunctionSummary:
     """Fixpoint-interpret ``code[start:end]`` as one function body."""
     limit = len(code) if end < 0 else min(end, len(code))
-    summary = FunctionSummary(name=name, size=limit - start)
-    try:
-        instrs = list(iter_instructions(code, start, limit))
-    except DisassemblyError as exc:
-        summary.decode_ok = False
-        summary.opaque_reason = str(exc)
-        return summary
-    summary.instruction_count = len(instrs)
-    if not instrs:
-        return summary
-    by_offset = {i.offset: i for i in instrs}
-
-    states: Dict[int, MachineState] = {instrs[0].offset: MachineState()}
-    worklist: List[int] = [instrs[0].offset]
-    visits: Dict[int, int] = {}
-    budget = MAX_VISITS_PER_INSTRUCTION
-
-    while worklist:
-        offset = worklist.pop()
-        if visits.get(offset, 0) >= budget:
-            continue
-        visits[offset] = visits.get(offset, 0) + 1
-        instr = by_offset.get(offset)
-        if instr is None:
-            continue
-        state = states[offset]
-        out, successors = _transfer(instr, state, relocations,
-                                    resolve_callee, summary)
-        if out.sp is not None and out.sp < summary.max_stack_depth:
-            summary.max_stack_depth = out.sp
-        for succ in successors:
-            if succ not in by_offset:
-                continue
-            merged = out if succ not in states \
-                else join_states(states[succ], out)
-            if succ not in states or merged != states[succ]:
-                states[succ] = merged
-                worklist.append(succ)
-    return summary
-
-
-def _transfer(instr: DecodedInstruction, state: MachineState,
-              relocations: Dict[int, Tuple[str, int]],
-              resolve_callee: Optional[Callable[[int], str]],
-              summary: FunctionSummary,
-              ) -> Tuple[MachineState, List[int]]:
-    """One instruction's abstract effect; returns (state, successors)."""
-    mnem = instr.mnemonic
-    ops = instr.instruction.operands
-    fall = instr.offset + instr.length
-    succs = [fall]
-
-    if mnem == "movi":
-        state = state.with_reg(ops[0], const(ops[1]))
-    elif mnem == "movr":
-        dst, src = ops
-        value = state.reg(src)
-        if src == REG_SP and state.sp is not None:
-            value = stackaddr(state.sp)
-        if dst == REG_SP:
-            state = state.with_sp(
-                value.value if value.kind == STACKADDR else None)
-        else:
-            state = state.with_reg(dst, value)
-    elif mnem == "lea":
-        entry = _reloc_symbol_for(instr, relocations, OperandKind.ABS32)
-        if entry is not None:
-            state = state.with_reg(ops[0], dataptr(entry[0], entry[1]))
-        else:
-            state = state.with_reg(ops[0], const(ops[1]))
-    elif mnem == "load":
-        entry = _reloc_symbol_for(instr, relocations, OperandKind.ABS32)
-        if entry is not None:
-            summary.accesses.append(AccessEvent(
-                offset=instr.offset, symbol=entry[0], mnemonic=mnem,
-                is_write=False))
-        state = state.with_reg(ops[0], TOP)
-    elif mnem == "store":
-        entry = _reloc_symbol_for(instr, relocations, OperandKind.ABS32)
-        if entry is not None:
-            summary.accesses.append(AccessEvent(
-                offset=instr.offset, symbol=entry[0], mnemonic=mnem,
-                is_write=True))
-        stored = state.reg(ops[1])
-        if stored.kind == DATAPTR:
-            summary.escapes.append(EscapeEvent(
-                offset=instr.offset, symbol=stored.symbol,
-                mnemonic=mnem,
-                reason="pointer stored to global memory"))
-    elif mnem == "loadr":
-        dst, base, imm = ops
-        base_value = state.reg(base)
-        loaded = TOP
-        if base == REG_SP and state.sp is not None:
-            base_value = stackaddr(state.sp)
-        if base_value.kind == STACKADDR:
-            slot = base_value.value + signed32(imm)
-            loaded = state.slot(slot)
-            arg = arg_slot_index(slot)
-            if arg is not None:
-                summary.arg_slots_read.add(arg)
-                if loaded == TOP:
-                    # arguments keep their caller-supplied identity so
-                    # pointer arguments stay trackable
-                    loaded = AbsValue(kind=ENTRY, value=-(arg + 1))
-        elif base_value.kind == DATAPTR:
-            summary.accesses.append(AccessEvent(
-                offset=instr.offset, symbol=base_value.symbol,
-                mnemonic=mnem, is_write=False))
-        state = state.with_reg(dst, loaded)
-    elif mnem == "storer":
-        base, imm, src = ops
-        base_value = state.reg(base)
-        stored = state.reg(src)
-        if base == REG_SP and state.sp is not None:
-            base_value = stackaddr(state.sp)
-        if base_value.kind == STACKADDR:
-            state = state.with_slot(base_value.value + signed32(imm),
-                                    stored)
-        elif base_value.kind == DATAPTR:
-            summary.accesses.append(AccessEvent(
-                offset=instr.offset, symbol=base_value.symbol,
-                mnemonic=mnem, is_write=True))
-            if stored.kind == DATAPTR:
-                summary.escapes.append(EscapeEvent(
-                    offset=instr.offset, symbol=stored.symbol,
-                    mnemonic=mnem,
-                    reason="pointer stored through a pointer into %s"
-                           % base_value.symbol))
-        elif stored.kind == DATAPTR:
-            summary.escapes.append(EscapeEvent(
-                offset=instr.offset, symbol=stored.symbol,
-                mnemonic=mnem,
-                reason="pointer stored through an untracked pointer"))
-    elif mnem == "addi":
-        reg, imm = ops
-        delta = signed32(imm)
-        if reg == REG_SP:
-            state = state.with_sp(
-                state.sp + delta if state.sp is not None else None)
-        else:
-            value = state.reg(reg)
-            if value.kind == CONST:
-                state = state.with_reg(reg, const(value.value + delta))
-            elif value.kind == STACKADDR:
-                state = state.with_reg(reg,
-                                       stackaddr(value.value + delta))
-            elif value.kind == DATAPTR:
-                state = state.with_reg(
-                    reg, dataptr(value.symbol, value.value + delta))
-            else:
-                state = state.with_reg(reg, TOP)
-    elif mnem in ("add", "sub", "mul", "div", "and", "or", "xor",
-                  "shl", "shr", "mod"):
-        dst, src = ops
-        a, b = state.reg(dst), state.reg(src)
-        if mnem in ("add", "sub") and DATAPTR in (a.kind, b.kind):
-            ptr = a if a.kind == DATAPTR else b
-            # indexing into the symbol: keep provenance, drop the offset
-            state = state.with_reg(dst, dataptr(ptr.symbol, 0))
-        elif a.kind == CONST and b.kind == CONST and mnem == "add":
-            state = state.with_reg(dst, const(a.value + b.value))
-        else:
-            state = state.with_reg(dst, TOP)
-    elif mnem in ("neg", "not"):
-        state = state.with_reg(ops[0], TOP)
-    elif mnem in ("cmp", "cmpi", "nop", "nop2", "nop3", "nop4",
-                  "cli", "sti"):
-        pass
-    elif mnem == "push":
-        if state.sp is not None:
-            new_sp = state.sp - 4
-            state = state.with_sp(new_sp).with_slot(new_sp,
-                                                    state.reg(ops[0]))
-    elif mnem == "pop":
-        if state.sp is not None:
-            state = state.with_reg(ops[0], state.slot(state.sp))
-            state = state.with_sp(state.sp + 4)
-        else:
-            state = state.with_reg(ops[0], TOP)
-    elif mnem in ("call", "callr"):
-        callee = ""
-        if mnem == "call":
-            entry = _reloc_symbol_for(instr, relocations,
-                                      OperandKind.REL32)
-            if entry is not None:
-                callee = entry[0]
-            elif resolve_callee is not None:
-                target = instr.branch_target_offset()
-                if target is not None:
-                    callee = resolve_callee(target)
-        live: List[str] = []
-        if state.sp is not None:
-            for slot_offset, value in state.stack:
-                if state.sp <= slot_offset < 0 \
-                        and value.kind == DATAPTR:
-                    live.append(value.symbol)
-        summary.calls.append(CallSite(
-            offset=instr.offset, callee=callee,
-            live_pointer_symbols=tuple(sorted(set(live)))))
-        for symbol in sorted(set(live)):
-            summary.escapes.append(EscapeEvent(
-                offset=instr.offset, symbol=symbol, mnemonic=mnem,
-                reason="live pointer on the stack at call to %s"
-                       % (callee or "(indirect)")))
-        for reg in CALL_CLOBBERED:
-            state = state.with_reg(reg, TOP)
-    elif mnem == "ret":
-        fp_value = state.reg(REG_FP)
-        preserved = tuple(i for i in range(8)
-                          if i != REG_SP
-                          and state.reg(i).is_entry(i))
-        r0 = state.reg(0)
-        summary.rets.append(RetSite(
-            offset=instr.offset, sp=state.sp,
-            fp_preserved=fp_value.is_entry(REG_FP),
-            preserved_registers=preserved,
-            returns_pointer_to=(r0.symbol
-                                if r0.kind == DATAPTR else "")))
-        return state, []
-    elif mnem in ("sched", "hlt"):
-        summary.sleep_sites.append(instr.offset)
-        if mnem == "hlt":
-            return state, []
-    elif mnem == "syscall":
-        state = state.with_reg(0, TOP)
-    elif instr.canonical in ("jmp", "jz", "jnz", "jl", "jg", "jle",
-                             "jge"):
-        target = instr.branch_target_offset()
-        if instr.canonical == "jmp":
-            succs = [] if target is None else [target]
-        elif target is not None:
-            succs = [fall, target]
-        return state, succs
-    return state, succs
+    return _summarize(name, limit - start, _decode_text(code, start, limit),
+                      relocations, resolve_callee)[0]
 
 
 def summarize_section_function(
@@ -410,3 +505,49 @@ def summarize_section_function(
     return summarize_function(
         name, obj_section.data, _relocation_map(obj_section),
         start=start, end=end, resolve_callee=resolve_callee)
+
+
+class Workspace:
+    """What one create's interpreter-backed passes share.
+
+    Each function-sections text is decoded at most once, and each
+    function summarized at most once: the ABI pass, the hunk
+    equivalence pass and the escape pass all read the same decode and
+    the same post-image summaries.  A workspace lives for one create.
+    It is keyed by section object and holds each section it decoded,
+    so no key is reused while it lives.  ``summaries`` counts the
+    fixpoints run and ``visits`` their worklist visits (transfers),
+    for the ``absint`` stage's counters.
+    """
+
+    def __init__(self) -> None:
+        self._decodes: Dict[int, Tuple[Section, _Decoded]] = {}
+        self._summaries: Dict[Tuple[int, str], FunctionSummary] = {}
+        self.summaries = 0
+        self.visits = 0
+
+    def _decode(self, section: Section) -> _Decoded:
+        held = self._decodes.get(id(section))
+        if held is None:
+            held = (section, _decode_text(section.data, 0,
+                                          len(section.data)))
+            self._decodes[id(section)] = held
+        return held[1]
+
+    def instructions(self, section: Section,
+                     ) -> Optional[List[DecodedInstruction]]:
+        """The section's instructions, or None if it does not decode."""
+        return self._decode(section)[0]
+
+    def summary(self, section: Section, name: str) -> FunctionSummary:
+        """``name``'s summary, ``section`` holding its whole text."""
+        key = (id(section), name)
+        summary = self._summaries.get(key)
+        if summary is None:
+            summary, visits = _summarize(
+                name, len(section.data), self._decode(section),
+                _relocation_map(section), None)
+            self.summaries += 1
+            self.visits += visits
+            self._summaries[key] = summary
+        return summary

@@ -23,6 +23,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.absint.engine import run_absint
+from repro.analysis.absint.interp import Workspace
 from repro.analysis.callgraph import build_call_graph, format_node
 from repro.analysis.datalayout import (
     analyze_data_layout,
@@ -101,12 +102,15 @@ def analyze_update(pack: "UpdatePack",
 
     stage = trace.stage("absint") if trace is not None else nullcontext()
     with stage as rep:
+        work = Workspace()
         absint_findings, absint_evidence = run_absint(
-            unit_diffs, pre_objects, post_objects, run_build)
+            unit_diffs, pre_objects, post_objects, run_build, work)
         if rep is not None:
             rep.counters["evidence"] = len(absint_evidence)
             rep.counters["proof_sites"] = sum(
                 len(ev.sites) for ev in absint_evidence)
+            rep.counters["summaries"] = work.summaries
+            rep.counters["visits"] = work.visits
     findings.extend(absint_findings)
     report.evidence = evidence + absint_evidence
     report.extend(findings)

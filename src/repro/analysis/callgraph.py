@@ -245,14 +245,15 @@ def _scan_text(graph: CallGraph, unit: str, section: Section,
     is the fixed displacement inside the ``call`` instruction."""
     try:
         for instr in iter_instructions(section.data):
-            if instr.mnemonic in SLEEP_MNEMONICS:
+            mnemonic = instr.mnemonic
+            if mnemonic in SLEEP_MNEMONICS:
                 name = _containing(section_extents, instr.offset)
                 if name is not None:
                     graph.sleep_points.add((unit, name))
                     graph.sleep_sites.setdefault(
                         (unit, name), set()).add(instr.offset)
                 continue
-            if instr.mnemonic != "call":
+            if mnemonic != "call":
                 continue
             field = instr.instruction.spec.pc_relative_operand_offset
             if field is None or \

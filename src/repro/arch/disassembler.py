@@ -9,16 +9,20 @@ as a stream decoder.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from repro.arch import isa
 from repro.arch.isa import Instruction, OperandKind
 
 
-@dataclass(frozen=True)
-class DecodedInstruction:
-    """An instruction plus where it was found."""
+class DecodedInstruction(NamedTuple):
+    """An instruction plus where it was found.
+
+    A plain immutable tuple: the decode memo shares its offset-0
+    instances across callers and threads, and the analysis sweeps build
+    one per instruction they decode, so it must be both unassignable
+    and cheap to make.
+    """
 
     offset: int
     instruction: Instruction
@@ -26,11 +30,11 @@ class DecodedInstruction:
 
     @property
     def length(self) -> int:
-        return self.instruction.length
+        return self.instruction.spec.length
 
     @property
     def mnemonic(self) -> str:
-        return self.instruction.mnemonic
+        return self.instruction.spec.mnemonic
 
     @property
     def canonical(self) -> str:
@@ -49,6 +53,11 @@ class DecodedInstruction:
         if not self.is_pc_relative:
             return None
         return self.offset + self.length + self.instruction.operands[0]
+
+
+#: builds a DecodedInstruction from its field tuple without the
+#: keyword-argument ``__new__`` NamedTuple generates
+_new_decoded = tuple.__new__
 
 
 #: Decoded instructions keyed by their raw bytes, stored at offset 0.
@@ -80,31 +89,49 @@ def disassemble_one(code: bytes, offset: int = 0) -> DecodedInstruction:
                 pass
             if offset == 0:
                 return cached
-            return DecodedInstruction(offset=offset,
-                                      instruction=cached.instruction,
-                                      raw=raw)
+            return _new_decoded(DecodedInstruction,
+                                (offset, cached.instruction, raw))
     # Decode in place: errors name offsets into ``code``.
     instruction = isa.decode_instruction(code, offset)
     raw = bytes(code[offset:offset + instruction.length])
-    decoded = DecodedInstruction(offset=offset, instruction=instruction,
-                                 raw=raw)
+    decoded = _new_decoded(DecodedInstruction, (offset, instruction, raw))
     if length is not None:
         while len(_DECODE_MEMO) >= _DECODE_MEMO_MAX:
             _DECODE_MEMO.popitem(last=False)
-        _DECODE_MEMO[raw] = decoded if offset == 0 else DecodedInstruction(
-            offset=0, instruction=instruction, raw=raw)
+        _DECODE_MEMO[raw] = decoded if offset == 0 else _new_decoded(
+            DecodedInstruction, (0, instruction, raw))
     return decoded
 
 
 def iter_instructions(code: bytes, start: int = 0,
                       end: int = -1) -> Iterator[DecodedInstruction]:
-    """Yield instructions from ``start`` until ``end`` (or end of buffer)."""
+    """Yield instructions from ``start`` until ``end`` (or end of buffer).
+
+    Exactly :func:`disassemble_one` at each offset.  Its memo-hit path
+    is inline here: the call-graph sweep, absint and lint decode whole
+    sections, and a call per instruction costs about a quarter of a
+    sweep.  Everything else (a miss, a bad or truncated encoding) goes
+    through :func:`disassemble_one`.
+    """
     limit = len(code) if end < 0 else min(end, len(code))
     offset = start
     while offset < limit:
+        length = isa.LENGTH_BY_OPCODE.get(code[offset])
+        if length is not None:
+            raw = bytes(code[offset:offset + length])
+            cached = _DECODE_MEMO.get(raw)
+            if cached is not None:
+                try:
+                    _DECODE_MEMO.move_to_end(raw)
+                except KeyError:
+                    pass
+                yield cached if offset == 0 else _new_decoded(
+                    DecodedInstruction, (offset, cached.instruction, raw))
+                offset += length
+                continue
         decoded = disassemble_one(code, offset)
         yield decoded
-        offset += decoded.length
+        offset += len(decoded.raw)
 
 
 def disassemble(code: bytes) -> List[DecodedInstruction]:

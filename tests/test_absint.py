@@ -20,10 +20,10 @@ from repro.analysis.absint import (
 )
 from repro.analysis.absint.domain import (
     TOP,
-    MachineState,
     arg_slot_index,
     const,
     dataptr,
+    entry_state,
     signed32,
 )
 from repro.analysis.datalayout import (
@@ -84,10 +84,28 @@ def test_signed32_two_complement():
     assert signed32(0x80000000) == -0x80000000
 
 
+def with_reg(state, reg, value):
+    sp, regs, stack = state
+    return (sp, regs[:reg] + (value,) + regs[reg + 1:], stack)
+
+
+def with_sp(state, sp):
+    return (sp,) + state[1:]
+
+
+def with_slot(state, offset, value):
+    sp, regs, stack = state
+    return (sp, regs, {**stack, offset: value})
+
+
+def slot(state, offset):
+    return state[2].get(offset, TOP)
+
+
 def test_machine_state_slots_and_args():
-    state = MachineState().with_sp(-8).with_slot(-8, const(7))
-    assert state.slot(-8) == const(7)
-    assert state.slot(-4) == TOP
+    state = with_slot(with_sp(entry_state(), -8), -8, const(7))
+    assert slot(state, -8) == const(7)
+    assert slot(state, -4) == TOP
     assert arg_slot_index(4) == 0
     assert arg_slot_index(12) == 2
     assert arg_slot_index(0) is None
@@ -95,15 +113,28 @@ def test_machine_state_slots_and_args():
 
 
 def test_join_states_merges_pointwise():
-    a = MachineState().with_sp(-4).with_slot(-4, dataptr("t"))
-    b = MachineState().with_sp(-4).with_slot(-4, dataptr("t")) \
-        .with_reg(1, const(9))
+    a = with_slot(with_sp(entry_state(), -4), -4, dataptr("t"))
+    b = with_reg(with_slot(with_sp(entry_state(), -4), -4, dataptr("t")),
+                 1, const(9))
     joined = join_states(a, b)
-    assert joined.sp == -4
-    assert joined.slot(-4) == dataptr("t")
-    assert joined.reg(1) == TOP  # entry(r1) vs const disagree
+    sp, regs, _stack = joined
+    assert sp == -4
+    assert slot(joined, -4) == dataptr("t")
+    assert regs[1] == TOP  # entry(r1) vs const disagree
     # diverging depths lose sp entirely
-    assert join_states(a, a.with_sp(-8)).sp is None
+    assert join_states(a, with_sp(a, -8))[0] is None
+
+
+def test_join_states_drops_explicit_unknown_slots():
+    """A slot holding UNKNOWN on both sides is dropped, so joining a
+    state that stored an explicit UNKNOWN with itself changes it: the
+    fixpoint revisits such a successor once more."""
+    state = with_slot(with_slot(with_sp(entry_state(), -8), -4, TOP),
+                      -8, const(1))
+    joined = join_states(state, state)
+    assert joined != state
+    assert joined[2] == {-8: const(1)}
+    assert join_states(joined, joined) == joined
 
 
 # -- interpreter -----------------------------------------------------------
