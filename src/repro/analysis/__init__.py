@@ -7,7 +7,8 @@ machine-checkable :class:`Evidence` that proves them:
 
 - a relocation call graph (:mod:`repro.analysis.callgraph`) computing
   who calls or references each patched function, inlined copies
-  included;
+  included; it is the only reader of the running kernel's build, and
+  the other analyses take the graph;
 - a data-layout/semantics diff (:mod:`repro.analysis.datalayout`)
   mapping persistent-data images, init-only writers and shadow-API
   adoption to verdicts, with ``data-image`` and ``shadow-api``

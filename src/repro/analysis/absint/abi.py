@@ -28,16 +28,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.absint.interp import FunctionSummary, Workspace
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.model import (
     EVIDENCE_ABI,
     VERDICT_REJECT,
     Evidence,
     Finding,
 )
-from repro.arch.disassembler import iter_instructions
-from repro.arch.isa import REG_SP
-from repro.errors import DisassemblyError
-from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile
 
 
@@ -54,66 +51,22 @@ def function_summary(obj: Optional[ObjectFile], fn: str,
     return (work or Workspace()).summary(section, fn)
 
 
-def caller_arg_counts(build: Optional[BuildResult],
+def caller_arg_counts(graph: Optional[CallGraph],
                       fn: str) -> Dict[str, int]:
     """How many argument words each run-kernel call site of ``fn``
-    pushes, recovered from the caller's code: the words the caller
-    pops (``addi sp, +4n``) straight after the ``call``.
+    pushes, recovered from the caller's code by the call graph's sweep.
 
     Keys are ``unit:function`` of the calling site's host; when a
     function is called from several sites the *minimum* count is kept
     (the weakest caller is the one a wider replacement would break).
     """
-    if build is None:
-        return {}
-    from repro.analysis.callgraph import _function_extents
-
-    counts: Dict[str, int] = {}
-    for unit in sorted(build.objects):
-        obj = build.objects[unit]
-        for section in obj.text_sections():
-            extents = _function_extents(obj, section)
-            starts = {name: start for start, _end, name in extents}
-            if fn not in starts and not any(
-                    r.symbol == fn for r in section.relocations):
-                continue
-            try:
-                instrs = list(iter_instructions(section.data))
-            except DisassemblyError:
-                continue
-            reloc_syms = {r.offset: r.symbol
-                          for r in section.relocations}
-            for index, instr in enumerate(instrs):
-                if instr.mnemonic != "call":
-                    continue
-                target = reloc_syms.get(instr.offset + 1)
-                if target is None:
-                    branch = instr.branch_target_offset()
-                    target = next(
-                        (name for start, end, name in extents
-                         if branch is not None
-                         and start <= branch < end
-                         and branch == start), None)
-                if target != fn:
-                    continue
-                pushed = 0
-                if index + 1 < len(instrs):
-                    after = instrs[index + 1]
-                    ops = after.instruction.operands
-                    if after.mnemonic == "addi" and ops[0] == REG_SP \
-                            and 0 < ops[1] < 0x80000000:
-                        pushed = ops[1] // 4
-                host = next((name for start, end, name in extents
-                             if start <= instr.offset < end), "?")
-                key = "%s:%s" % (unit, host)
-                counts[key] = min(counts.get(key, pushed), pushed)
-    return counts
+    return dict(graph.arg_words.get(fn, {})) if graph is not None else {}
 
 
 def analyze_abi(unit: str, fn: str,
                 pre_obj: Optional[ObjectFile],
                 post_obj: Optional[ObjectFile],
-                run_build: Optional[BuildResult],
+                graph: Optional[CallGraph],
                 patched_names: Set[str],
                 work: Optional[Workspace] = None,
                 ) -> Tuple[List[Finding], List[Evidence]]:
@@ -156,7 +109,7 @@ def analyze_abi(unit: str, fn: str,
             and post.args_read > pre.args_read:
         facts["prototype_ripple"] = True
         for caller, pushed in sorted(
-                caller_arg_counts(run_build, fn).items()):
+                caller_arg_counts(graph, fn).items()):
             caller_fn = caller.split(":", 1)[-1]
             if caller_fn in patched_names:
                 continue  # the patch replaces this caller too

@@ -25,8 +25,8 @@ from repro.analysis.absint.abi import analyze_abi
 from repro.analysis.absint.equiv import equivalence_evidence
 from repro.analysis.absint.escape import analyze_escapes
 from repro.analysis.absint.interp import Workspace
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.model import Evidence, Finding
-from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile
 
 if TYPE_CHECKING:
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 def run_absint(unit_diffs: Dict[str, "UnitDiff"],
                pre_objects: Dict[str, ObjectFile],
                post_objects: Dict[str, ObjectFile],
-               run_build: Optional[BuildResult],
+               graph: Optional[CallGraph],
                work: Optional[Workspace] = None,
                ) -> Tuple[List[Finding], List[Evidence]]:
     """All interpreter-backed passes over one update's diffs; ``work``
@@ -56,7 +56,7 @@ def run_absint(unit_diffs: Dict[str, "UnitDiff"],
 
         for fn in sorted(diff.changed_functions):
             abi_findings, abi_evidence = analyze_abi(
-                unit, fn, pre, post, run_build, patched_names, work)
+                unit, fn, pre, post, graph, patched_names, work)
             findings.extend(abi_findings)
             evidence.extend(abi_evidence)
             equivalence = equivalence_evidence(unit, fn, pre, post, work)
@@ -64,7 +64,7 @@ def run_absint(unit_diffs: Dict[str, "UnitDiff"],
                 evidence.append(equivalence)
 
         escape_findings, escape_evidence = analyze_escapes(
-            unit, diff, pre, post, run_build, work)
+            unit, diff, pre, post, graph, work)
         findings.extend(escape_findings)
         evidence.extend(escape_evidence)
     return findings, evidence

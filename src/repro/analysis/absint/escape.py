@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.absint.interp import FunctionSummary, Workspace
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.datalayout import run_kernel_references, \
     strip_data_prefix
 from repro.analysis.model import (
@@ -35,7 +36,6 @@ from repro.analysis.model import (
     Evidence,
     Finding,
 )
-from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile
 
 if TYPE_CHECKING:
@@ -65,7 +65,7 @@ def _section_size(obj: Optional[ObjectFile], section_name: str) -> int:
 def analyze_escapes(unit: str, diff: "UnitDiff",
                     pre_obj: Optional[ObjectFile],
                     post_obj: Optional[ObjectFile],
-                    run_build: Optional[BuildResult],
+                    graph: Optional[CallGraph],
                     work: Optional[Workspace] = None,
                     ) -> Tuple[List[Finding], List[Evidence]]:
     """One unit's resized-layout findings with their escape evidence.
@@ -104,7 +104,7 @@ def analyze_escapes(unit: str, diff: "UnitDiff",
                                     access.mnemonic,
                                     "writes" if access.is_write
                                     else "reads", symbol))
-        run_sites, data_anchors = run_kernel_references(run_build, symbol)
+        run_sites, data_anchors = run_kernel_references(graph, symbol)
         sites.extend(run_sites)
         escaped = bool(escape_count or data_anchors or run_sites)
         escapes_seen[symbol] = escaped

@@ -3,8 +3,9 @@
 ``analyze_update`` is what the ``analyze`` stage of ksplice-create
 calls, after differencing and before the pack is returned.  It is a
 pure function of the pack, the per-unit diffs and objects, and
-(optionally) the run kernel's build; it never mutates its inputs and
-raises nothing — rejection is a verdict, not an exception, so the
+(optionally) the run kernel's build, which only the call graph reads:
+the passes read the graph.  It never mutates its inputs and raises
+nothing — rejection is a verdict, not an exception, so the
 caller decides whether a ``reject`` stops the pipeline.
 
 Each pass decides its facts once and returns the findings together
@@ -32,7 +33,6 @@ from repro.analysis.datalayout import (
 from repro.analysis.lint import lint_pack
 from repro.analysis.model import AnalysisReport
 from repro.analysis.quiescence import analyze_quiescence
-from repro.arch.info import DEFAULT_ARCH
 from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile
 from repro.pipeline import Trace
@@ -41,17 +41,12 @@ if TYPE_CHECKING:
     from repro.core.objdiff import UnitDiff
     from repro.core.update import UpdatePack
 
-#: mirrors ``KspliceCore``'s default bounded stack-check retries
-DEFAULT_STACK_CHECK_RETRIES = 5
-
 
 def analyze_update(pack: "UpdatePack",
                    unit_diffs: Dict[str, "UnitDiff"],
                    pre_objects: Dict[str, ObjectFile],
                    post_objects: Dict[str, ObjectFile],
                    run_build: Optional[BuildResult] = None,
-                   stack_check_retries: int = DEFAULT_STACK_CHECK_RETRIES,
-                   jump_size: int = DEFAULT_ARCH.jump_size,
                    trace: Optional[Trace] = None,
                    ) -> AnalysisReport:
     """Classify one update before any machine is touched."""
@@ -87,24 +82,23 @@ def analyze_update(pack: "UpdatePack",
             for node in graph.caller_closure(patched_nodes))
 
     findings, evidence = analyze_data_layout(unit_diffs, pre_objects,
-                                             post_objects, run_build)
+                                             post_objects, graph)
     if graph is not None:
         writer_findings, writer_evidence = analyze_init_only_writers(
             graph, unit_diffs, pre_objects, post_objects)
         findings += writer_findings
         evidence += writer_evidence
     sleep_findings, sleep_evidence = analyze_quiescence(
-        graph, unit_diffs, pre_objects, stack_check_retries)
+        graph, unit_diffs, pre_objects)
     findings += sleep_findings
     evidence += sleep_evidence
-    findings.extend(lint_pack(pack, run_build=run_build,
-                              jump_size=jump_size))
+    findings.extend(lint_pack(pack, graph))
 
     stage = trace.stage("absint") if trace is not None else nullcontext()
     with stage as rep:
         work = Workspace()
         absint_findings, absint_evidence = run_absint(
-            unit_diffs, pre_objects, post_objects, run_build, work)
+            unit_diffs, pre_objects, post_objects, graph, work)
         if rep is not None:
             rep.counters["evidence"] = len(absint_evidence)
             rep.counters["proof_sites"] = sum(

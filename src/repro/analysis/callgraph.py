@@ -21,6 +21,10 @@ functions whose compiled text contains a ``sched`` or ``hlt``
 instruction (the MiniC ``__sched()``/``__hlt`` builtins lower to
 these); anything that can reach one by direct calls can sit on a
 sleeping thread's stack across stop_machine retries.
+
+The graph is the analyzer's only reader of the run build: the same
+walks also record definition counts (lint), relocation sites (data
+layout) and the argument words each call pushes (ABI).
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.arch.disassembler import iter_instructions
+from repro.arch.disassembler import disassemble_one, iter_instructions
+from repro.arch.isa import REG_SP, SPEC_BY_MNEMONIC
 from repro.errors import DisassemblyError
 from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile, Section, SectionKind, SymbolKind
@@ -39,7 +44,13 @@ SLEEP_MNEMONICS = ("sched", "hlt")
 #: functions the boot sequence calls directly, outside any call chain
 BOOT_ENTRYPOINTS = ("kernel_init",)
 
+#: where a relocated ``call``'s relocation sits: its rel32 field
+CALL_FIELD = SPEC_BY_MNEMONIC["call"].operand_fields[0][1]
+
 Node = Tuple[str, str]
+
+#: ``(unit, section, offset, in a text section)`` of one relocation
+RelocSite = Tuple[str, str, int, bool]
 
 
 def format_node(node: Node) -> str:
@@ -69,6 +80,14 @@ class CallGraph:
     inline_hosts: Dict[Node, Set[Node]] = field(default_factory=dict)
     #: function name -> defining nodes (all bindings)
     definitions: Dict[str, List[Node]] = field(default_factory=dict)
+    #: symbol name -> how many run-kernel symbols of any kind define it
+    definition_counts: Dict[str, int] = field(default_factory=dict)
+    #: symbol name -> every relocation naming it, in (unit, section,
+    #: offset) order
+    reloc_sites: Dict[str, List[RelocSite]] = field(default_factory=dict)
+    #: callee name -> ``unit:host`` -> fewest argument words a call site
+    #: in that host pops straight after the call (``addi sp, +4n``)
+    arg_words: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def node_for(self, unit: str, name: str) -> Optional[Node]:
         node = (unit, name)
@@ -140,6 +159,11 @@ class CallGraph:
         return bool(roots) and all(name in entrypoints
                                    for _unit, name in roots)
 
+    def add_call(self, caller: Node, callee: Node, offset: int) -> None:
+        self.calls.setdefault(caller, set()).add(callee)
+        self.callers.setdefault(callee, set()).add(caller)
+        self.call_sites.setdefault((caller, callee), set()).add(offset)
+
     def references_of(self, node: Node) -> List[str]:
         """Everything referencing ``node``, rendered deterministically:
         call-edge callers and inline hosts as ``unit:function``, data
@@ -186,6 +210,8 @@ def build_call_graph(build: BuildResult) -> CallGraph:
         obj = build.objects[unit]
         local_funcs[unit] = set()
         for sym in obj.defined_symbols():
+            graph.definition_counts[sym.name] = \
+                graph.definition_counts.get(sym.name, 0) + 1
             if sym.kind is not SymbolKind.FUNC:
                 continue
             graph.definitions.setdefault(sym.name, []).append((unit, sym.name))
@@ -207,22 +233,21 @@ def build_call_graph(build: BuildResult) -> CallGraph:
         obj = build.objects[unit]
         for section_name in sorted(obj.sections):
             section = obj.sections[section_name]
+            in_text = section.kind is SectionKind.TEXT
             for reloc in section.sorted_relocations():
+                graph.reloc_sites.setdefault(reloc.symbol, []).append(
+                    (unit, section_name, reloc.offset, in_text))
                 target = resolve(unit, reloc.symbol)
                 if target is None:
                     continue
-                if section.kind is SectionKind.TEXT:
+                if in_text:
                     caller_name = _containing(
                         extents.get((unit, section_name), []), reloc.offset)
                     if caller_name is None:
                         continue
-                    caller = (unit, caller_name)
-                    if caller == target:
-                        continue
-                    graph.calls.setdefault(caller, set()).add(target)
-                    graph.callers.setdefault(target, set()).add(caller)
-                    graph.call_sites.setdefault(
-                        (caller, target), set()).add(reloc.offset)
+                    if (unit, caller_name) != target:
+                        graph.add_call((unit, caller_name), target,
+                                       reloc.offset)
                 else:
                     graph.data_referenced.add(target)
                     graph.data_ref_sites.setdefault(target, set()).add(
@@ -239,10 +264,18 @@ def build_call_graph(build: BuildResult) -> CallGraph:
 
 def _scan_text(graph: CallGraph, unit: str, section: Section,
                section_extents: List[Tuple[int, int, str]]) -> None:
-    """One decode pass per text section: sleep points, plus the call
-    edges the relocation walk cannot see — a merged build resolves
-    same-unit calls at assembly time, so the only trace of those edges
-    is the fixed displacement inside the ``call`` instruction."""
+    """One decode pass per text section: sleep points, the argument
+    words of each call, and the edges of calls the assembler resolved
+    (a merged build leaves no relocation for a same-unit call).
+
+    A call's callee is the symbol relocated at its rel32 field, else
+    the function whose extent *starts* at its target; its edge goes to
+    the extent that *contains* the target.  Argument words count only
+    when the whole section decodes."""
+    reloc_at = {reloc.offset: reloc.symbol for reloc in section.relocations}
+    starts = {start: name for start, end, name in section_extents
+              if end > start}
+    named_calls: List[Tuple[int, str, str]] = []  # (end, callee, host)
     try:
         for instr in iter_instructions(section.data):
             mnemonic = instr.mnemonic
@@ -255,25 +288,35 @@ def _scan_text(graph: CallGraph, unit: str, section: Section,
                 continue
             if mnemonic != "call":
                 continue
-            field = instr.instruction.spec.pc_relative_operand_offset
-            if field is None or \
-                    section.has_relocation_at(instr.offset + field):
-                continue  # relocated call: the relocation pass covers it
-            target_offset = instr.offset + instr.length + \
-                instr.instruction.operands[0]
+            end = instr.offset + instr.length
+            target = end + instr.instruction.operands[0]
             caller = _containing(section_extents, instr.offset)
-            callee = _containing(section_extents, target_offset)
-            if caller is None or callee is None or caller == callee:
-                continue
-            graph.calls.setdefault((unit, caller), set()).add((unit, callee))
-            graph.callers.setdefault((unit, callee), set()).add(
-                (unit, caller))
-            graph.call_sites.setdefault(
-                ((unit, caller), (unit, callee)), set()).add(instr.offset)
+            relocated = reloc_at.get(instr.offset + CALL_FIELD)
+            named = relocated if relocated is not None \
+                else starts.get(target)
+            if named is not None:
+                named_calls.append((end, named,
+                                    "%s:%s" % (unit, caller or "?")))
+            if relocated is not None:
+                continue  # the relocation walk adds its edge
+            callee = _containing(section_extents, target)
+            if caller is not None and callee is not None \
+                    and caller != callee:
+                graph.add_call((unit, caller), (unit, callee), instr.offset)
     except DisassemblyError:
-        # Undecodable text (hand-written constants in code): treat the
-        # rest of the section as opaque rather than failing the analysis.
+        # Undecodable text (hand-written constants in code): keep what
+        # the decoded prefix showed, minus its argument words.
         return
+    for end, named, host in named_calls:
+        words = 0  # unless the next instruction pops the arguments
+        if end < len(section.data):
+            after = disassemble_one(section.data, end)
+            ops = after.instruction.operands
+            if after.mnemonic == "addi" and ops[0] == REG_SP \
+                    and 0 < ops[1] < 0x80000000:
+                words = ops[1] // 4
+        hosts = graph.arg_words.setdefault(named, {})
+        hosts[host] = min(hosts.get(host, words), words)
 
 
 def text_sleeps(section_data: bytes) -> bool:

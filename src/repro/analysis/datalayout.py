@@ -43,7 +43,6 @@ from repro.analysis.model import (
     Evidence,
     Finding,
 )
-from repro.kbuild import BuildResult
 from repro.objfile import ObjectFile, SectionKind, SymbolKind
 
 if TYPE_CHECKING:
@@ -67,35 +66,23 @@ def strip_data_prefix(section_name: str) -> str:
     return section_name
 
 
-def run_kernel_references(build: Optional[BuildResult],
+def run_kernel_references(graph: Optional[CallGraph],
                           symbol: str) -> Tuple[List[str], int]:
     """``unit:section+0xNN`` relocation sites targeting ``symbol``, and
     how many of them sit in data sections (address-taking anchors)."""
-    sites: List[str] = []
-    data_anchors = 0
-    if build is None:
-        return sites, data_anchors
-    for unit in sorted(build.objects):
-        obj = build.objects[unit]
-        for section_name in sorted(obj.sections):
-            section = obj.sections[section_name]
-            for reloc in section.sorted_relocations():
-                if reloc.symbol != symbol:
-                    continue
-                what = "references" if section.kind is SectionKind.TEXT \
-                    else "embeds the address of"
-                if section.kind is not SectionKind.TEXT:
-                    data_anchors += 1
-                sites.append("%s:%s+0x%x: %s %s"
-                             % (unit, section_name, reloc.offset,
-                                what, symbol))
-    return sites, data_anchors
+    found = graph.reloc_sites.get(symbol, []) if graph is not None else []
+    sites = ["%s:%s+0x%x: %s %s"
+             % (unit, section_name, offset,
+                "references" if in_text else "embeds the address of",
+                symbol)
+             for unit, section_name, offset, in_text in found]
+    return sites, sum(1 for site in found if not site[3])
 
 
 def analyze_data_layout(unit_diffs: Dict[str, "UnitDiff"],
                         pre_objects: Dict[str, ObjectFile],
                         post_objects: Dict[str, ObjectFile],
-                        run_build: Optional[BuildResult] = None,
+                        graph: Optional[CallGraph] = None,
                         ) -> Tuple[List[Finding], List[Evidence]]:
     """Persistent-image and shadow-API findings per unit, with their
     witnesses, plus an informational note per hook-carrying unit."""
@@ -107,7 +94,7 @@ def analyze_data_layout(unit_diffs: Dict[str, "UnitDiff"],
         post = post_objects.get(unit)
         for section_name in diff.persistent_data_sections():
             finding, witness = _image_change(unit, section_name, pre, post,
-                                             run_build)
+                                             graph)
             findings.append(finding)
             evidence.append(witness)
         for finding, witness in _shadow_api_adoption(unit, pre, post):
@@ -142,7 +129,7 @@ def _diff_span(pre: bytes, post: bytes) -> Dict[str, int]:
 
 def _image_change(unit: str, section_name: str,
                   pre: Optional[ObjectFile], post: Optional[ObjectFile],
-                  run_build: Optional[BuildResult],
+                  graph: Optional[CallGraph],
                   ) -> Tuple[Finding, Evidence]:
     """One changed persistent-data section: the finding and the
     differing byte span behind it."""
@@ -169,7 +156,7 @@ def _image_change(unit: str, section_name: str,
                      "pre and post images"
                      % (unit, section_name, facts["first_diff"],
                         max(facts["first_diff"], facts["last_diff"])))
-    run_sites, _anchors = run_kernel_references(run_build, symbol)
+    run_sites, _anchors = run_kernel_references(graph, symbol)
     sites.extend(run_sites)
     facts["run_kernel_references"] = len(run_sites)
     return finding, Evidence(

@@ -19,13 +19,13 @@ Anything flagged here aborts at apply time; the verdict is ``reject``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.model import VERDICT_REJECT, VERDICT_SAFE, Finding
 from repro.arch.disassembler import iter_instructions
 from repro.arch.info import DEFAULT_ARCH
 from repro.errors import DisassemblyError
-from repro.kbuild import BuildResult
 from repro.objfile import RelocationType, SymbolKind
 
 if TYPE_CHECKING:
@@ -49,9 +49,9 @@ SUPPORTED_RELOCATIONS = (RelocationType.ABS32, RelocationType.PC32)
 
 
 def lint_pack(pack: "UpdatePack",
-              run_build: Optional[BuildResult] = None,
-              jump_size: int = DEFAULT_ARCH.jump_size) -> List[Finding]:
-    """Lint every unit of the pack; deterministic finding order."""
+              graph: Optional[CallGraph] = None) -> List[Finding]:
+    """Lint every unit of the pack against the run kernel's call graph
+    (its definition counts); deterministic finding order."""
     findings: List[Finding] = []
     update_exports: Set[str] = set()
     for uu in pack.units:
@@ -59,21 +59,13 @@ def lint_pack(pack: "UpdatePack",
             if not sym.is_local:
                 update_exports.add(sym.name)
 
-    run_defs: Dict[str, int] = {}
-    if run_build is not None:
-        for unit in sorted(run_build.objects):
-            for sym in run_build.objects[unit].defined_symbols():
-                run_defs[sym.name] = run_defs.get(sym.name, 0) + 1
-
     for uu in sorted(pack.units, key=lambda u: u.unit):
-        findings.extend(_lint_unit(uu, update_exports, run_defs,
-                                   run_build is not None, jump_size))
+        findings.extend(_lint_unit(uu, update_exports, graph))
     return findings
 
 
 def _lint_unit(uu: "UnitUpdate", update_exports: Set[str],
-               run_defs: Dict[str, int], have_run_build: bool,
-               jump_size: int) -> List[Finding]:
+               graph: Optional[CallGraph]) -> List[Finding]:
     findings: List[Finding] = []
     unit = uu.unit
     helper = uu.helper
@@ -98,13 +90,14 @@ def _lint_unit(uu: "UnitUpdate", update_exports: Set[str],
 
     for fn in sorted(uu.changed_functions):
         sym = helper.find_symbol(fn)
-        if sym is not None and sym.is_defined and 0 < sym.size < jump_size:
+        if sym is not None and sym.is_defined \
+                and 0 < sym.size < DEFAULT_ARCH.jump_size:
             findings.append(Finding(
                 analysis="lint", verdict=VERDICT_REJECT,
                 unit=unit, symbol=fn,
                 detail="replaced function is only %d bytes; it cannot "
                        "hold the %d-byte redirection jump"
-                       % (sym.size, jump_size)))
+                       % (sym.size, DEFAULT_ARCH.jump_size)))
         section = helper.sections.get(".text.%s" % fn)
         if section is not None and not _decodes(section.data):
             findings.append(Finding(
@@ -118,9 +111,9 @@ def _lint_unit(uu: "UnitUpdate", update_exports: Set[str],
         if (name in runpre_solvable or name in update_exports
                 or name in SHADOW_CORE_SYMBOLS):
             continue
-        if not have_run_build:
+        if graph is None:
             continue  # cannot judge kallsyms without the run build
-        count = run_defs.get(name, 0)
+        count = graph.definition_counts.get(name, 0)
         if count == 0:
             findings.append(Finding(
                 analysis="lint", verdict=VERDICT_REJECT,
@@ -136,7 +129,8 @@ def _lint_unit(uu: "UnitUpdate", update_exports: Set[str],
                        "references it, so run-pre matching cannot pick "
                        "one" % count))
 
-    if have_run_build:
+    if graph is not None:
+        run_defs = graph.definition_counts
         ambiguous = sorted(
             {reloc.symbol
              for section in primary.sections.values()

@@ -41,16 +41,21 @@ from repro.analysis.model import (
     Evidence,
     Finding,
 )
+from repro.kernel.stop_machine import STACK_CHECK_RETRIES
 from repro.objfile import ObjectFile
 
 if TYPE_CHECKING:
     from repro.core.objdiff import UnitDiff
 
+_PARKED_DETAIL = ("patched function executes a sleep instruction; a "
+                  "parked thread's program counter can sit inside it "
+                  "indefinitely, so all %d stack-check attempts are "
+                  "predicted to fail" % STACK_CHECK_RETRIES)
+
 
 def analyze_quiescence(graph: Optional[CallGraph],
                        unit_diffs: Dict[str, "UnitDiff"],
                        pre_objects: Dict[str, ObjectFile],
-                       stack_check_retries: int = 5,
                        ) -> Tuple[List[Finding], List[Evidence]]:
     """One finding per patched function that can sleep or reach sleep,
     and the sleep-path evidence behind it."""
@@ -63,8 +68,7 @@ def analyze_quiescence(graph: Optional[CallGraph],
             if graph is not None and node is not None:
                 path = graph.sleep_path(node)
                 if path is not None:
-                    findings.append(_chain_finding(
-                        unit, fn, path, stack_check_retries))
+                    findings.append(_chain_finding(unit, fn, path))
                     evidence.append(_chain_evidence(graph, unit, fn, path))
                 continue
             # No call-graph node: judge the function's own pre text.
@@ -72,8 +76,7 @@ def analyze_quiescence(graph: Optional[CallGraph],
             if _own_text_sleeps(pre, fn):
                 findings.append(Finding(
                     analysis="quiescence", verdict=VERDICT_QUIESCE_RISK,
-                    unit=unit, symbol=fn,
-                    detail=_parked_detail(stack_check_retries)))
+                    unit=unit, symbol=fn, detail=_PARKED_DETAIL))
             if graph is None:
                 witness = _own_text_evidence(pre, unit, fn)
                 if witness is not None:
@@ -81,23 +84,15 @@ def analyze_quiescence(graph: Optional[CallGraph],
     return findings, evidence
 
 
-def _parked_detail(retries: int) -> str:
-    return ("patched function executes a sleep instruction; a "
-            "parked thread's program counter can sit inside it "
-            "indefinitely, so all %d stack-check attempts are "
-            "predicted to fail" % retries)
-
-
-def _chain_finding(unit: str, fn: str, path: List[Node],
-                   retries: int) -> Finding:
+def _chain_finding(unit: str, fn: str, path: List[Node]) -> Finding:
     if len(path) == 1:
-        detail = _parked_detail(retries)
+        detail = _PARKED_DETAIL
     else:
         chain = " -> ".join(name for _unit, name in path)
         detail = ("patched function can sleep through %s; its return "
                   "address stays on the sleeping thread's stack "
                   "across all %d stop_machine retries"
-                  % (chain, retries))
+                  % (chain, STACK_CHECK_RETRIES))
     return Finding(analysis="quiescence", verdict=VERDICT_QUIESCE_RISK,
                    unit=unit, symbol=fn, detail=detail)
 

@@ -113,31 +113,15 @@ def _print_stage_table(stages, out=None) -> None:
                      timing.mean_ms, timing.failures))
 
 
-class _StageAgg:
-    """Local stage accumulator (same shape as engine.StageTiming)."""
+def _stage_totals(traces) -> dict:
+    """Top-level stage totals over ``traces``, folded exactly as an
+    evaluation run folds its CVEs' traces."""
+    from repro.evaluation.engine import EngineStats
 
-    __slots__ = ("calls", "wall_ms", "failures")
-
-    def __init__(self):
-        self.calls = 0
-        self.wall_ms = 0.0
-        self.failures = 0
-
-    @property
-    def mean_ms(self) -> float:
-        return self.wall_ms / self.calls if self.calls else 0.0
-
-
-def _aggregate_traces(traces) -> Dict[str, _StageAgg]:
-    stages: Dict[str, _StageAgg] = {}
+    stats = EngineStats()
     for trace in traces:
-        for report in trace.reports:
-            timing = stages.setdefault(report.name, _StageAgg())
-            timing.calls += 1
-            timing.wall_ms += report.wall_ms
-            if report.outcome == "failed":
-                timing.failures += 1
-    return stages
+        stats.record_trace(trace)
+    return stats.stages
 
 
 def _save_traces(traces, meta) -> None:
@@ -254,7 +238,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
           % (applied.stop_report.wall_milliseconds,
              applied.stack_check_attempts, applied.primary_bytes))
     print()
-    _print_stage_table(_aggregate_traces([trace]))
+    _print_stage_table(_stage_totals([trace]))
     _save_traces([trace], meta={"command": "demo",
                                 "kernel_version": tree.version})
     return 0
@@ -501,7 +485,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for version in sorted(by_version):
         print("\nper-stage wall time, %s (%d CVEs):"
               % (version, len(by_version[version])))
-        _print_stage_table(_aggregate_traces(by_version[version]))
+        _print_stage_table(_stage_totals(by_version[version]))
     if stats.stages:
         print("\nper-stage wall time, whole corpus:")
         _print_stage_table(stats.stages)
@@ -681,7 +665,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                  jit["trace_hits"], jit["compiled"],
                  jit.get("adopted", 0), jit.get("shared", 0),
                  jit["evicted"]))
-    _print_stage_table(_aggregate_traces(traces))
+    _print_stage_table(_stage_totals(traces))
     failed = [(t.label, t.failed_stage()) for t in traces
               if t.failed_stage()]
     if failed:

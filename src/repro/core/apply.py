@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.kernel.machine import Machine
 from repro.kernel.modules import LoadedModule
-from repro.kernel.stop_machine import StopMachineReport
+from repro.kernel.stop_machine import STACK_CHECK_RETRIES, StopMachineReport
 from repro.kernel.threads import Thread
 from repro.pipeline import FAILED, StageReport, Trace
 
@@ -94,7 +94,8 @@ class AppliedUpdate:
 class KspliceCore:
     """Kernel-resident update manager for one machine."""
 
-    def __init__(self, machine: Machine, stack_check_retries: int = 5,
+    def __init__(self, machine: Machine,
+                 stack_check_retries: int = STACK_CHECK_RETRIES,
                  retry_run_instructions: int = 5_000,
                  arch: ArchInfo = DEFAULT_ARCH):
         self.machine = machine

@@ -42,14 +42,14 @@ Failure model
   several consecutive probes is declared lost.  A killed worker is
   usually detected faster, by the TCP reset.
 * **Reconnect with backoff + jitter** — a refused or dropped connection
-  is retried up to ``reconnect_attempts`` times per peer, with
+  is retried up to ``RECONNECT_ATTEMPTS`` times per peer, with
   exponentially growing, jittered delays (jitter decorrelates a fleet
   of coordinators hammering a recovering worker).  Reconnect counts
   are surfaced per peer in ``EngineStats``.
 * **Bounded retry with backoff** — an item lost with a worker (or
   failed remotely) is requeued for the CVEs that have no result yet,
   with exponentially backed-off not-before times, up to
-  ``max_attempts`` total tries; only then is it abandoned remotely.
+  ``MAX_ATTEMPTS`` total tries; only then is it abandoned remotely.
 * **Graceful degradation** — abandoned items, or everything left when
   every worker has died, are evaluated in-process by the coordinator
   (``local_rescues``); results stay complete and deterministic.  If
@@ -74,11 +74,25 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.distributed import aio, protocol
 from repro.distributed.aio import AsyncChannel
 from repro.distributed.protocol import (
-    MAX_FRAME,
     AuthError,
     ProtocolError,
     parse_address,
 )
+
+#: seconds to open a worker connection and finish its handshake
+CONNECT_TIMEOUT = 5.0
+#: seconds of silence mid-item before the coordinator pings the worker
+HEARTBEAT_INTERVAL = 2.0
+#: unanswered pings in a row that declare the worker lost
+HEARTBEAT_MISSES = 3
+#: tries per item, the first included, before it is rescued locally
+MAX_ATTEMPTS = 3
+#: base delay in seconds before a requeued item runs again (doubling)
+RETRY_BACKOFF = 0.05
+#: reconnects per peer before the coordinator gives up on it
+RECONNECT_ATTEMPTS = 3
+#: base delay in seconds before a reconnect (doubling, plus jitter)
+RECONNECT_BACKOFF = 0.1
 
 
 @dataclass
@@ -116,24 +130,8 @@ class _RunState:
 class Coordinator:
     """Runs one corpus evaluation over a set of ``host:port`` workers."""
 
-    def __init__(self, addresses: Sequence[str],
-                 connect_timeout: float = 5.0,
-                 heartbeat_interval: float = 2.0,
-                 heartbeat_misses: int = 3,
-                 max_attempts: int = 3,
-                 retry_backoff: float = 0.05,
-                 reconnect_attempts: int = 3,
-                 reconnect_backoff: float = 0.1,
-                 max_frame: int = MAX_FRAME):
+    def __init__(self, addresses: Sequence[str]):
         self.addresses = [parse_address(a) for a in addresses]
-        self.connect_timeout = connect_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_backoff = reconnect_backoff
-        self.max_frame = max_frame
         self._ids = itertools.count()
         self._wake: Optional[asyncio.Event] = None
 
@@ -315,14 +313,14 @@ class Coordinator:
         missing = [i for i in item.indices if state.results[i] is None]
         if missing:
             attempts = item.attempts + 1
-            if attempts < self.max_attempts:
+            if attempts < MAX_ATTEMPTS:
                 retry_item = WorkItem(
                     item_id="i%d" % next(self._ids),
                     version=item.version, indices=missing,
                     specs=[self._specs[i] for i in missing],
                     warm=item.warm, attempts=attempts)
                 not_before = time.monotonic() \
-                    + self.retry_backoff * (2 ** (attempts - 1))
+                    + RETRY_BACKOFF * (2 ** (attempts - 1))
                 state.retry.append((not_before, retry_item))
                 state.retries += 1
             elif item.warm:
@@ -387,12 +385,12 @@ class Coordinator:
         delay) decorrelates simultaneous reconnects.
         """
         state = self._state
-        if used >= self.reconnect_attempts:
+        if used >= RECONNECT_ATTEMPTS:
             return False
         state.reconnects += 1
         state.reconnects_by_peer[label] = \
             state.reconnects_by_peer.get(label, 0) + 1
-        delay = self.reconnect_backoff * (2 ** used)
+        delay = RECONNECT_BACKOFF * (2 ** used)
         delay += random.uniform(0, delay / 2)
         deadline = time.monotonic() + delay
         while True:
@@ -407,8 +405,7 @@ class Coordinator:
     async def _connect(self, host: str, port: int) -> AsyncChannel:
         channel = await aio.connect_channel(
             host, port, protocol.default_secret(),
-            max_frame=self.max_frame,
-            connect_timeout=self.connect_timeout)
+            connect_timeout=CONNECT_TIMEOUT)
         from repro.compiler.cache import disk_cache_config
 
         try:
@@ -452,9 +449,9 @@ class Coordinator:
         while True:
             try:
                 message = await asyncio.wait_for(
-                    channel.recv(), timeout=self.heartbeat_interval)
+                    channel.recv(), timeout=HEARTBEAT_INTERVAL)
             except asyncio.TimeoutError:
-                if missed >= self.heartbeat_misses:
+                if missed >= HEARTBEAT_MISSES:
                     raise ConnectionError(
                         "worker missed %d heartbeats" % missed)
                 ping_seq += 1

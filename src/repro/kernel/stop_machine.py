@@ -22,6 +22,10 @@ from typing import Any, Callable, List
 
 from repro.kernel.scheduler import Scheduler
 
+#: stop_machine windows the apply-time stack check tries before it
+#: gives up on a busy stack (§5.2); the analyzer predicts exhaustion
+STACK_CHECK_RETRIES = 5
+
 
 @dataclass
 class StopMachineReport:

@@ -236,7 +236,7 @@ int caller_one(int x) {
 
 def test_caller_arg_counts_recovered_from_run_kernel():
     run_build = build_tree(RIPPLE_TREE, CompilerOptions(opt_level=0))
-    counts = caller_arg_counts(run_build, "widget_get")
+    counts = caller_arg_counts(build_call_graph(run_build), "widget_get")
     assert counts == {"kernel/caller.c:caller_one": 1}
 
 
@@ -249,7 +249,7 @@ int widget_get(int a, int b) {
 }
 """, "kernel/widget.c")
     findings, evidence = analyze_abi("kernel/widget.c", "widget_get",
-                                     pre, post, run_build,
+                                     pre, post, build_call_graph(run_build),
                                      {"widget_get"})
     assert [f.verdict for f in findings] == [VERDICT_REJECT]
     assert "unpatched callers push fewer" in findings[0].detail
@@ -259,7 +259,7 @@ int widget_get(int a, int b) {
 
     # when the caller is patched along, the ripple is harmless
     findings, _ = analyze_abi("kernel/widget.c", "widget_get",
-                              pre, post, run_build,
+                              pre, post, build_call_graph(run_build),
                               {"widget_get", "caller_one"})
     assert findings == []
 

@@ -195,8 +195,7 @@ def test_quiescence_flags_transitive_sleep_chain():
     graph = graph_for()
     diffs = {"kernel/sys.c": UnitDiff(unit="kernel/sys.c",
                                       changed_functions=["sys_counter"])}
-    findings, _evidence = analyze_quiescence(graph, diffs, {},
-                                             stack_check_retries=5)
+    findings, _evidence = analyze_quiescence(graph, diffs, {})
     assert len(findings) == 1
     finding = findings[0]
     assert finding.verdict == VERDICT_QUIESCE_RISK
@@ -425,7 +424,7 @@ def test_lint_unresolvable_and_ambiguous_symbols():
     # without the run build the kallsyms checks cannot run
     assert lint_pack(pack) == []
 
-    findings = lint_pack(pack, run_build=run_build)
+    findings = lint_pack(pack, build_call_graph(run_build))
     by_symbol = {f.symbol: f for f in findings}
     assert by_symbol["ghost_fn"].verdict == VERDICT_REJECT
     assert "unresolvable" in by_symbol["ghost_fn"].detail
@@ -452,7 +451,7 @@ def test_lint_notes_runpre_disambiguation():
     primary = helper.copy()
     pack = UpdatePack(update_id="ksplice-amb", kernel_version="t")
     pack.units.append(UnitUpdate(unit="u.c", helper=helper, primary=primary))
-    findings = lint_pack(pack, run_build=run_build)
+    findings = lint_pack(pack, build_call_graph(run_build))
     assert [f.verdict for f in findings] == [VERDICT_SAFE]
     assert "run-pre matching disambiguates" in findings[0].detail
 

@@ -197,8 +197,7 @@ def test_version_mismatch_rejected_at_handshake(monkeypatch):
                               daemon=True)
     thread.start()
     stats = EngineStats()
-    coordinator = Coordinator(["127.0.0.1:%d" % port],
-                              connect_timeout=5.0)
+    coordinator = Coordinator(["127.0.0.1:%d" % port])
     assert coordinator.run(_slice(2), run_stress=False,
                            stats=stats) is None
     assert "no workers reachable" in stats.fallback_reason
@@ -248,8 +247,7 @@ def test_stale_error_frame_does_not_fail_inflight_item(monkeypatch):
                               daemon=True)
     thread.start()
     stats = EngineStats()
-    coordinator = Coordinator(["127.0.0.1:%d" % port],
-                              connect_timeout=5.0)
+    coordinator = Coordinator(["127.0.0.1:%d" % port])
     results = coordinator.run(_slice(1), run_stress=False, stats=stats)
     thread.join(timeout=10.0)
     listener.close()

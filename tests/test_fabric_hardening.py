@@ -269,23 +269,24 @@ def test_secret_worker_open_coordinator_falls_back(monkeypatch):
 # -- heartbeats under load ----------------------------------------------------
 
 
-def test_heartbeat_answered_while_item_runs():
+def test_heartbeat_answered_while_item_runs(monkeypatch):
     """A slow item must not starve the heartbeat: the worker evaluates
     in an executor thread while its event loop answers pings, so a
     coordinator with a tight heartbeat budget sees a live worker and
     never retries or rescues."""
+    from repro.distributed import coordinator as coordinator_module
     from repro.distributed.coordinator import Coordinator
     from repro.evaluation import CORPUS
 
     specs = CORPUS[:2]
     # Each item wedges ~2s; three missed 0.2s heartbeats (~0.6s budget)
     # would mark the worker dead long before the item finishes.
+    monkeypatch.setattr(coordinator_module, "HEARTBEAT_INTERVAL", 0.2)
+    assert coordinator_module.HEARTBEAT_MISSES == 3
     workers = spawn_local_workers(1, wedge_seconds=2.0)
     stats = EngineStats()
     try:
-        coordinator = Coordinator([workers[0].address],
-                                  heartbeat_interval=0.2,
-                                  heartbeat_misses=3)
+        coordinator = Coordinator([workers[0].address])
         results = coordinator.run(specs, run_stress=False, stats=stats)
     finally:
         workers[0].stop()
